@@ -12,6 +12,7 @@ encodings.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -124,7 +125,8 @@ def cmd_verify(args):
             "permutation_cases": report.permutation_cases,
             "cofactor_checks": report.cofactor_checks,
             "lift_checks": report.lift_checks,
-            "failures": [f.line() for f in report.failures],
+            "failures": [dataclasses.asdict(f) for f in report.failures],
+            "timings": report.timings,
         }))
     else:
         print(report.format())

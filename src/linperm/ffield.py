@@ -15,6 +15,7 @@ exponent is ever formed on the main arithmetic paths.
 from __future__ import annotations
 
 import functools
+import random
 
 from . import _kernel
 from .errors import ContextMismatchError
@@ -155,23 +156,16 @@ def _pow_vec(vec, exponent, modulus, p):
 def _is_irreducible(f, p: int) -> bool:
     """Irreducibility of the monic polynomial ``f`` over GF(p).
 
-    Degree <= 8 uses trial division by every monic divisor candidate of
-    degree <= m/2; above that, factors of degree j are detected through
-    gcd(x^(p^j) - x, f) while iterating the Frobenius power of x.
+    f of degree m is irreducible exactly when it has no factor of degree
+    j <= m/2, that is when gcd(x^(p^j) - x, f) = 1 for every such j; the
+    powers x^(p^j) mod f are iterated by p-th powering, so the cost is
+    polynomial in m and log p.
     """
     m = len(f) - 1
     if m == 1:
         return True
     if f[0] == 0:
         return False
-    if m <= 8:
-        for dd in range(1, m // 2 + 1):
-            for tail in range(p**dd):
-                g = list(int_to_coeffs(tail, dd, p)) + [1]
-                _, rem = _pdivmod(list(f), g, p)
-                if not rem:
-                    return False
-        return True
     x_vec = [0, 1] + [0] * (m - 2)
     t = list(x_vec)
     for _ in range(m // 2):
@@ -431,37 +425,146 @@ class FieldElem:
 # subfield embedding
 # ---------------------------------------------------------------------------
 
+# Seed of the random shifts that split the small modulus; the embedding does
+# not depend on it, only the work done to find it.
+EMBEDDING_SEED = 1981
+
+
+def _etrim(v):
+    i = len(v)
+    while i and not any(v[i - 1]):
+        i -= 1
+    return v[:i]
+
+
+def _eadd(a, b, p):
+    if len(a) < len(b):
+        a, b = b, a
+    return _etrim([_kernel.addmod(c, d, p) for c, d in zip(a, b)]
+                  + [list(c) for c in a[len(b):]])
+
+
+def _edivmod(a, b, mod, p):
+    """Quotient and remainder of ``a`` by the monic ``b`` over GF(p^M)."""
+    a = list(a)
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], _etrim(a)
+    q = [None] * (len(a) - db)
+    for k in range(len(a) - 1, db - 1, -1):
+        c = a[k]
+        q[k - db] = c
+        if any(c):
+            for j in range(db):
+                if any(b[j]):
+                    a[k - db + j] = _kernel.submod(
+                        a[k - db + j], _kernel.mulmod(b[j], c, mod, p), p)
+    return _etrim(q), _etrim(a[:db])
+
+
+def _emulmod(a, b, g, mod, p):
+    """Product of ``a`` and ``b`` over GF(p^M), reduced by the monic ``g``."""
+    if not a or not b:
+        return []
+    out = [[0] * (len(mod) - 1) for _ in range(len(a) + len(b) - 1)]
+    for i, ai in enumerate(a):
+        if any(ai):
+            for j, bj in enumerate(b):
+                if any(bj):
+                    out[i + j] = _kernel.addmod(
+                        out[i + j], _kernel.mulmod(ai, bj, mod, p), p)
+    return _edivmod(out, g, mod, p)[1]
+
+
+def _egcd(a, b, mod, p):
+    """Monic gcd over GF(p^M) of the monic ``a`` and ``b``."""
+    while b:
+        lead_inv = _poly_invmod(b[-1], mod, p)
+        b = [_kernel.mulmod(c, lead_inv, mod, p) for c in b]
+        a, b = b, _edivmod(a, b, mod, p)[1]
+    return a
+
+
+def _split_root(f, mod, p, rng):
+    """One root in GF(p^M) of the monic ``f`` over GF(p), which must split
+    there into distinct linear factors (Cantor-Zassenhaus).
+
+    Every root alpha of a factor g is sorted by a random shift delta: for
+    odd p by the quadratic character (alpha + delta)^((p^M - 1)/2) = +-1,
+    for p = 2 by the trace sum((delta*alpha)^(2^i), i < M) in {0, 1}.  So
+    gcd(g, h) with h the same expression in y mod g splits g whenever two
+    roots fall on different sides, which happens with probability at least
+    about one half; the smaller side is kept until it is linear.
+    """
+    m = len(mod) - 1
+    order = p**m
+    one = [1] + [0] * (m - 1)
+    g = [[c] + [0] * (m - 1) for c in f]
+    while len(g) > 2:
+        delta = list(int_to_coeffs(rng.randrange(order), m, p))
+        if p == 2:
+            t = _etrim([[0] * m, delta])
+            h = t
+            for _ in range(m - 1):
+                t = _emulmod(t, t, g, mod, p)
+                h = _eadd(h, t, p)
+        else:
+            shift = [delta, one]
+            h = [one]
+            for bit in bin((order - 1) // 2)[2:]:
+                h = _emulmod(h, h, g, mod, p)
+                if bit == "1":
+                    h = _emulmod(h, shift, g, mod, p)
+            h = _eadd(h, [[p - 1] + [0] * (m - 1)], p)
+        d = _egcd(g, h, mod, p)
+        if 1 < len(d) < len(g):
+            if 2 * len(d) > len(g) + 1:
+                d = _edivmod(g, d, mod, p)[0]
+            g = d
+    return _kernel.negmod(g[0], p)
+
+
 @functools.lru_cache(maxsize=None)
 def _embedding_powers(p, small_mod, big_mod):
     """Images of the small generator's powers inside the big field.
 
     The small generator maps to the root of ``small_mod`` in the big field
-    with the smallest integer encoding, found by a linear scan; the scan is
-    intended for desk-scale fields.
+    with the smallest integer encoding.  One root u is found by
+    Cantor-Zassenhaus splitting (:func:`_split_root`), at a cost polynomial
+    in the degrees and log p.  The small modulus is irreducible over GF(p),
+    so its roots are exactly the conjugates u^(p^k), k < deg(small_mod);
+    their minimum is the minimal root whichever u the seeded search finds.
     """
     m_big = len(big_mod) - 1
-    rev = list(reversed(small_mod))
-    for enc in range(p**m_big):
-        u = list(int_to_coeffs(enc, m_big, p))
-        acc = [rev[0] % p] + [0] * (m_big - 1)
-        for c in rev[1:]:
-            acc = _kernel.mulmod(acc, u, big_mod, p)
-            acc[0] = (acc[0] + c) % p
-        if not any(acc):
-            powers = [(1,) + (0,) * (m_big - 1)]
-            img = powers[0]
-            for _ in range(len(small_mod) - 2):
-                img = tuple(_kernel.mulmod(img, u, big_mod, p))
-                powers.append(img)
-            return tuple(powers)
-    raise AssertionError("unreachable: the small modulus splits in the big field")
+    m_small = len(small_mod) - 1
+    root = _split_root(small_mod, big_mod, p, random.Random(EMBEDDING_SEED))
+    conjugates = [root]
+    for _ in range(m_small - 1):
+        conjugates.append(_pow_vec(conjugates[-1], p, big_mod, p))
+    u = min(conjugates, key=lambda v: coeffs_to_int(v, p))
+    acc = [1] + [0] * (m_big - 1)
+    for c in reversed(small_mod[:-1]):
+        acc = _kernel.mulmod(acc, u, big_mod, p)
+        acc[0] = (acc[0] + c) % p
+    if any(acc):
+        raise AssertionError("embedded generator is not a root of the small modulus")
+    powers = [(1,) + (0,) * (m_big - 1)]
+    img = powers[0]
+    for _ in range(m_small - 1):
+        img = tuple(_kernel.mulmod(img, u, big_mod, p))
+        powers.append(img)
+    return tuple(powers)
 
 
 def embed_subfield(x: FieldElem, big: FieldCtx) -> FieldElem:
     """Canonical field homomorphism from x's field into ``big``.
 
     Fixed per context pair: the small generator goes to the minimal-encoding
-    root of the small modulus, so repeated calls agree.
+    root of the small modulus in ``big``.  That root is canonical because
+    the roots are the Frobenius conjugates of any one of them, so their
+    minimum does not depend on which root the randomized splitting of
+    :func:`_embedding_powers` reaches first; repeated calls and processes
+    agree.
     """
     small = x.ctx
     if small.p != big.p:

@@ -273,7 +273,11 @@ def sweep(cfg: SweepConfig) -> SweepReport:
     (and the special forms where they apply); for r = 1 the cofactor closed
     forms are checked; and permutations are lifted to every admissible
     bigger field and rechecked exhaustively.  Failures are collected, not
-    raised, and the grid order is fixed, so reports are reproducible.
+    raised: an internal consistency check that raises ``AssertionError``
+    (the denominator check of the norm criterion, the cofactor check of the
+    matrix method, the root check of the embedding) is recorded under its
+    check family and the case moves on.  The grid order is fixed, so
+    reports are reproducible.
     """
     report = SweepReport(config=cfg)
     timings = report.timings
@@ -307,7 +311,11 @@ def sweep(cfg: SweepConfig) -> SweepReport:
                     return img
 
                 with _Timer(timings, CHECK_CRITERION):
-                    perm_norm = binomial.is_permutation_binomial(spec)
+                    try:
+                        perm_norm = binomial.is_permutation_binomial(spec)
+                    except AssertionError as exc:
+                        fail(CHECK_CRITERION, f"norm criterion: {exc}")
+                        perm_norm = None
                     perm_det = linpoly.is_permutation_dickson(L)
                     img = table(L, "polynomial")
                     perm_brute = len(set(img)) == ctx.order
@@ -341,11 +349,15 @@ def sweep(cfg: SweepConfig) -> SweepReport:
                             fail(CHECK_INVERSE, "pointwise inverse check failed")
 
                 with _Timer(timings, CHECK_AGREEMENT):
-                    M_dickson = linpoly.inverse_dickson(L)
-                    if M_dickson != M:
-                        fail(CHECK_AGREEMENT,
-                             f"matrix method gave {M_dickson.to_encodings()}, "
-                             f"closed form {M.to_encodings()}")
+                    try:
+                        M_dickson = linpoly.inverse_dickson(L)
+                    except AssertionError as exc:
+                        fail(CHECK_AGREEMENT, f"matrix method: {exc}")
+                    else:
+                        if M_dickson != M:
+                            fail(CHECK_AGREEMENT,
+                                 f"matrix method gave {M_dickson.to_encodings()}, "
+                                 f"closed form {M.to_encodings()}")
                     for shape in binomial._shapes(spec):
                         M_special = binomial.inverse_special(spec, which=shape)
                         if M_special != M:
@@ -356,8 +368,12 @@ def sweep(cfg: SweepConfig) -> SweepReport:
                 with _Timer(timings, CHECK_LIFT):
                     for t in lift_ts:
                         big = field_ctx(p, e * t, n)
-                        lifted = binomial.lift(L, t, big)
                         report.lift_checks += 1
+                        try:
+                            lifted = binomial.lift(L, t, big)
+                        except AssertionError as exc:
+                            fail(CHECK_LIFT, f"embedding: {exc}", t=t)
+                            continue
                         img_big = table(lifted, "lift", t=t)
                         if len(set(img_big)) != big.order:
                             fail(CHECK_LIFT, "lift is not a permutation", t=t)

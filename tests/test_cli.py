@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from linperm import ffield
 from linperm.cli import main
 
 
@@ -128,8 +129,30 @@ class TestVerify:
                            "--primes", "2", "--json")
         assert code == 0
         got = json.loads(out)
+        assert set(got) == {"cases", "permutation_cases", "cofactor_checks",
+                            "lift_checks", "failures", "timings"}
         assert got["failures"] == []
         assert got["cases"] > 0
+        assert set(got["timings"]) == {"criterion", "cofactors", "inverse",
+                                       "agreement", "lift"}
+        assert all(v >= 0 for v in got["timings"].values())
+
+    def test_json_failures_are_records(self, capsys, monkeypatch):
+        def broken(p, small_mod, big_mod):
+            raise AssertionError("injected")
+
+        monkeypatch.setattr(ffield, "_embedding_powers", broken)
+        code, out, _ = run(capsys, "verify", "--max-order", "9",
+                           "--primes", "3", "--json")
+        assert code == 1
+        got = json.loads(out)
+        assert got["failures"]
+        for failure in got["failures"]:
+            assert set(failure) == {"p", "e", "n", "r", "a", "t", "check",
+                                    "detail"}
+            assert (failure["p"], failure["n"], failure["t"]) == (3, 2, 1)
+            assert failure["check"] == "lift"
+            assert "injected" in failure["detail"]
 
     def test_bad_prime_list(self, capsys):
         code, _, err = run(capsys, "verify", "--max-order", "16",

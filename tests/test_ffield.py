@@ -1,12 +1,38 @@
 """Field construction, arithmetic laws, Frobenius, norms, and embeddings."""
 
+import random
+
 import pytest
 
 from linperm import (ContextMismatchError, FieldCtx, embed_subfield, field_ctx,
                      find_irreducible)
-from linperm.ffield import _pgcd, _pow_vec, _psub, coeffs_to_int, int_to_coeffs
+from linperm.ffield import (_is_irreducible, _pgcd, _pow_vec, _psub,
+                            coeffs_to_int, int_to_coeffs)
 
 from conftest import EXHAUSTIVE_FIELDS
+
+
+def divides(g, f, p):
+    """Plain coefficient long division: does the monic ``g`` divide ``f``?"""
+    f = list(f)
+    dg = len(g) - 1
+    for k in range(len(f) - 1, dg - 1, -1):
+        c = f[k]
+        if c:
+            for j in range(dg + 1):
+                f[k - dg + j] = (f[k - dg + j] - c * g[j]) % p
+    return not any(f)
+
+
+def trial_division_irreducible(f, p, max_divisor_degree=None):
+    """No monic divisor of degree 1 .. max_divisor_degree (default m - 1)."""
+    m = len(f) - 1
+    top = m - 1 if max_divisor_degree is None else max_divisor_degree
+    for dd in range(1, top + 1):
+        for gtail in range(p**dd):
+            if divides(list(int_to_coeffs(gtail, dd, p)) + [1], f, p):
+                return False
+    return True
 
 
 def brute_minimal_irreducible(p, m):
@@ -16,34 +42,47 @@ def brute_minimal_irreducible(p, m):
     plain coefficient long division, so this shares nothing with the library
     search path beyond the encoding convention.
     """
-    def divides(g, f):
-        f = list(f)
-        dg = len(g) - 1
-        lead_inv = pow(g[-1], p - 2, p)
-        for k in range(len(f) - 1, dg - 1, -1):
-            c = f[k]
-            if c:
-                fac = c * lead_inv % p
-                for j in range(dg + 1):
-                    f[k - dg + j] = (f[k - dg + j] - fac * g[j]) % p
-        return not any(f)
-
     for tail in range(p**m):
         f = list(int_to_coeffs(tail, m, p)) + [1]
-        if m == 1:
-            return tuple(f)
-        reducible = False
-        for dd in range(1, m):
-            for gtail in range(p**dd):
-                g = list(int_to_coeffs(gtail, dd, p)) + [1]
-                if divides(g, f):
-                    reducible = True
-                    break
-            if reducible:
-                break
-        if not reducible:
+        if trial_division_irreducible(f, p):
             return tuple(f)
     raise AssertionError("no irreducible found")
+
+
+def reference_minimal_root(p, small_mod, big_mod):
+    """Independent scan: the smallest encoding in GF(p)[x]/(big_mod) that is
+    a root of ``small_mod``, with schoolbook products and long division."""
+    m = len(big_mod) - 1
+
+    def mulmod(a, b):
+        prod = [0] * (2 * m - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+        for k in range(2 * m - 2, m - 1, -1):
+            c = prod[k]
+            for j in range(m + 1):
+                prod[k - m + j] = (prod[k - m + j] - c * big_mod[j]) % p
+        return prod[:m]
+
+    for enc in range(p**m):
+        u = list(int_to_coeffs(enc, m, p))
+        acc = [0] * m
+        for c in reversed(small_mod):
+            acc = mulmod(acc, u)
+            acc[0] = (acc[0] + c) % p
+        if not any(acc):
+            return enc
+    raise AssertionError("no root found")
+
+
+# every (small, big) degree pair with small dividing big and p^big <= 4096
+SCANNABLE_EMBEDDINGS = [
+    (p, ms, mb)
+    for p, top in ((2, 12), (3, 7), (5, 5))
+    for mb in range(1, top + 1)
+    for ms in range(1, mb + 1) if mb % ms == 0
+]
 
 
 class TestFindIrreducible:
@@ -57,7 +96,9 @@ class TestFindIrreducible:
         assert coeffs_to_int(find_irreducible(3, 2), 3) == 10
 
     @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (2, 4), (2, 5),
-                                     (3, 2), (3, 3), (5, 2), (7, 2)])
+                                     (3, 2), (3, 3), (5, 2), (7, 2),
+                                     (2, 6), (2, 7), (2, 8), (3, 4), (5, 3),
+                                     (7, 3)])
     def test_matches_independent_minimal_scan(self, p, m):
         assert find_irreducible(p, m) == brute_minimal_irreducible(p, m)
 
@@ -71,7 +112,26 @@ class TestFindIrreducible:
         with pytest.raises(ValueError):
             find_irreducible(2, 0)
 
-    @pytest.mark.parametrize("p,m", [(2, 4), (3, 3), (2, 11)])
+    @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
+                                     (2, 7), (2, 8), (3, 2), (3, 3), (3, 4),
+                                     (3, 5), (5, 2), (5, 3), (7, 2), (7, 3)])
+    def test_is_irreducible_matches_trial_division(self, p, m):
+        # a reducible polynomial has a factor of degree at most m/2
+        for tail in range(p**m):
+            f = int_to_coeffs(tail, m, p) + (1,)
+            assert _is_irreducible(f, p) == trial_division_irreducible(
+                f, p, m // 2), f
+
+    def test_large_characteristic_fields_build(self):
+        # the irreducibility test costs O(log p) products per degree, so
+        # these finish at once instead of enumerating p^(m/2) divisors
+        ctx = FieldCtx(2**31 - 1, 1, 2)
+        assert ctx.modulus == (1, 0, 1)  # x^2 + 1; -1 is a non-square
+        ctx = FieldCtx(1009, 1, 4)
+        assert ctx.modulus == find_irreducible(1009, 4)
+
+    @pytest.mark.parametrize("p,m", [(2, 4), (3, 3), (2, 11), (1009, 4),
+                                     (2**31 - 1, 2)])
     def test_irreducibility_witness(self, p, m):
         # divides x^(p^m) - x, and gcd(x^(p^j) - x, f) = 1 for all j < m
         f = find_irreducible(p, m)
@@ -276,3 +336,45 @@ class TestEmbedding:
     def test_deterministic(self, f9, f729):
         a = f9.from_int(7)
         assert embed_subfield(a, f729) == embed_subfield(a, f729)
+
+    @pytest.mark.parametrize("small,big,enc", [
+        ((2, 1, 7), (2, 2, 7), 3374),
+        ((5, 1, 3), (5, 2, 3), 11365),
+        ((3, 1, 4), (3, 3, 4), 31578),
+        ((2, 3, 3), (2, 6, 3), 27626),
+    ])
+    def test_pinned_generator_images(self, small, big, enc):
+        # the pairs of the lift benchmark; values of the exhaustive scan
+        assert embed_subfield(field_ctx(*small).gen(), field_ctx(*big)).to_int() == enc
+
+    @pytest.mark.parametrize("p,ms,mb", SCANNABLE_EMBEDDINGS)
+    def test_matches_reference_scan(self, p, ms, mb):
+        small = field_ctx(p, 1, ms)
+        big = field_ctx(p, 1, mb)
+        got = embed_subfield(small.gen(), big).to_int()
+        assert got == reference_minimal_root(p, small.modulus, big.modulus)
+
+    @pytest.mark.parametrize("small,big", [
+        ((3, 1, 7), (3, 2, 7)),
+        ((1009, 1, 2), (1009, 2, 2)),
+    ])
+    def test_minimal_root_beyond_scan_range(self, small, big):
+        # GF(3^14) has 4,782,969 elements and GF(1009^4) about 10^12
+        sctx = field_ctx(*small)
+        bctx = field_ctx(*big)
+        u = embed_subfield(sctx.gen(), bctx)
+        acc = bctx.zero
+        for c in reversed(sctx.modulus):
+            acc = acc * u + bctx.from_int(c)
+        assert acc.is_zero()
+        conjugates = {u.frobenius(k).to_int() for k in range(sctx.m)}
+        assert len(conjugates) == sctx.m
+        assert u.to_int() == min(conjugates)
+        rng = random.Random(14)
+        for _ in range(12):
+            x = sctx.random_element(rng)
+            y = sctx.random_element(rng)
+            ex = embed_subfield(x, bctx)
+            ey = embed_subfield(y, bctx)
+            assert embed_subfield(x + y, bctx) == ex + ey
+            assert embed_subfield(x * y, bctx) == ex * ey

@@ -6,8 +6,10 @@ from linperm import (BinomialSpec, CapacityError, LinearizedPoly,
                      NotAPermutationError, SweepConfig, brute_inverse_table,
                      brute_is_permutation, field_ctx, is_permutation_binomial,
                      sweep, verify_inverse)
-from linperm import _kernel, oracle
-from linperm.oracle import CHECK_CRITERION, MAX_EXHAUSTIVE_ORDER
+from linperm import _kernel, binomial, ffield, linpoly, oracle
+from linperm.cli import main
+from linperm.oracle import (CHECK_AGREEMENT, CHECK_CRITERION, CHECK_LIFT,
+                            MAX_EXHAUSTIVE_ORDER)
 
 
 @pytest.fixture
@@ -181,3 +183,81 @@ class TestDirectCheck:
         assert criterion
         assert all(f.p == 3 and f.n == 2 for f in criterion)
         assert any(f"({corrupt_tables}," in f.detail for f in criterion)
+
+
+def break_denominator_check(monkeypatch):
+    """Run the norm criterion with the char-2 sign rule: over GF(9) with
+    r = 1 its denominator check then fails for every a != 0."""
+    real = binomial.is_permutation_binomial
+
+    def faulty(spec):
+        with monkeypatch.context() as m:
+            m.setattr(binomial, "_sign", lambda ctx, k: ctx.one)
+            return real(spec)
+
+    monkeypatch.setattr(binomial, "is_permutation_binomial", faulty)
+
+
+def break_cofactor_check(monkeypatch):
+    """Shift entry (0, 0) of every Dickson inverse, so the cofactor expansion
+    of inverse_dickson disagrees with the determinant whenever a != 0."""
+    real = linpoly.DicksonMatrix.det_and_inverse
+
+    def faulty(self):
+        det, inv = real(self)
+        rows = [list(row) for row in inv.entries]
+        rows[0][0] = rows[0][0] + self.ctx.one
+        return det, linpoly.DicksonMatrix(self.ctx, rows)
+
+    monkeypatch.setattr(linpoly.DicksonMatrix, "det_and_inverse", faulty)
+
+
+def break_root_check(monkeypatch):
+    """Make the embedding's root check fail on every call."""
+    def faulty(p, small_mod, big_mod):
+        raise AssertionError("embedded generator is not a root of the small modulus")
+
+    monkeypatch.setattr(ffield, "_embedding_powers", faulty)
+
+
+GF9_GRID = SweepConfig(max_field_order=9, primes=(3,), max_e=1, max_n=2)
+
+
+class TestBrokenInvariants:
+    """An internal check that raises is a sweep failure, not an abort."""
+
+    @pytest.mark.parametrize("inject,check,needle", [
+        (break_denominator_check, CHECK_CRITERION, "denominator test"),
+        (break_cofactor_check, CHECK_AGREEMENT, "cofactor expansion"),
+        (break_root_check, CHECK_LIFT, "not a root"),
+    ])
+    def test_family_is_reported_and_every_case_runs(
+            self, monkeypatch, inject, check, needle):
+        inject(monkeypatch)
+        report = sweep(GF9_GRID)
+        assert report.cases == 9
+        assert not report.ok
+        found = report.failures_for(check)
+        assert any(needle in f.detail for f in found)
+        assert all(f.p == 3 and f.n == 2 for f in found)
+
+    def test_denominator_failures_cover_every_nonzero_a(self, monkeypatch):
+        break_denominator_check(monkeypatch)
+        report = sweep(GF9_GRID)
+        hit = {f.a for f in report.failures_for(CHECK_CRITERION)
+               if "denominator test" in f.detail}
+        assert hit == set(range(1, 9))
+
+    @pytest.mark.parametrize("inject,check", [
+        (break_denominator_check, CHECK_CRITERION),
+        (break_cofactor_check, CHECK_AGREEMENT),
+        (break_root_check, CHECK_LIFT),
+    ])
+    def test_verify_exits_one_and_lists_the_failure(
+            self, monkeypatch, capsys, inject, check):
+        inject(monkeypatch)
+        code = main(["verify", "--max-order", "9", "--primes", "3"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert f"check={check}" in out
+        assert "cases: 9" in out
