@@ -23,7 +23,11 @@ __version__ = "0.1.0"
 
 
 def kernel_backend() -> str:
-    """Name of the active arithmetic backend: "cython" or "python"."""
+    """Name of the arithmetic kernel backend, kept for run reports.
+
+    The pure-Python kernels in ``_corepy`` are the only backend, so this is
+    always "python".
+    """
     return _kernel.BACKEND
 
 

@@ -1,10 +1,9 @@
-"""Pure-Python arithmetic kernels.
+"""Pure-Python arithmetic kernels over GF(p), the package's only backend.
 
-Fallback twin of the compiled core in ``_corecy``; both expose the same
-functions with identical semantics.  A coefficient vector is a sequence of
-ints in ``[0, p)``, little-endian in the power basis; ``mod`` is the monic
-modulus of length ``m + 1``.  Every function returns fresh lists and never
-mutates its arguments.
+A coefficient vector is a sequence of ints in ``[0, p)``, little-endian in
+the power basis; ``mod`` is the monic modulus of length ``m + 1``.  Every
+function returns fresh lists and never mutates its arguments.  Other modules
+call these through ``_kernel``.
 """
 
 BACKEND = "python"

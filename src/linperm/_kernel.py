@@ -1,24 +1,12 @@
-"""Arithmetic kernel backend, selected once at import time.
+"""The arithmetic kernels that the rest of the package calls.
 
-The compiled Cython core is preferred when it is built; setting the
-environment variable ``LINPERM_PURE_PYTHON`` to any nonempty value forces
-the pure-Python fallback.
+A re-export of the pure-Python kernels in ``_corepy``.  Callers go through
+this module rather than ``_corepy`` so that a caller's kernel calls can be
+replaced or traced here without touching ``_corepy``'s calls to itself.
 """
 
-import os
+from ._corepy import (BACKEND, addmod, eval_all, matvec, mulmod, negmod,
+                      submod)
 
-if os.environ.get("LINPERM_PURE_PYTHON"):
-    from . import _corepy as _impl
-else:
-    try:
-        from . import _corecy as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import _corepy as _impl
-
-BACKEND = _impl.BACKEND
-addmod = _impl.addmod
-submod = _impl.submod
-negmod = _impl.negmod
-mulmod = _impl.mulmod
-matvec = _impl.matvec
-eval_all = _impl.eval_all
+__all__ = ["BACKEND", "addmod", "eval_all", "matvec", "mulmod", "negmod",
+           "submod"]

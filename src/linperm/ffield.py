@@ -20,7 +20,8 @@ import random
 from . import _kernel
 from .errors import ContextMismatchError
 
-# Coefficient products must fit a signed 64-bit word in the compiled core.
+# Largest accepted characteristic: every coefficient product stays below
+# 2^62, so it fits a signed 64-bit word.
 MAX_PRIME = 2**31 - 1
 
 
@@ -37,6 +38,14 @@ def is_prime(v: int) -> bool:
             return False
         f += 2
     return True
+
+
+def check_characteristic(p: int) -> None:
+    """Raise ValueError unless ``p`` is a prime no larger than MAX_PRIME."""
+    if not isinstance(p, int) or not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+    if p > MAX_PRIME:
+        raise ValueError(f"p={p} exceeds the word-size bound {MAX_PRIME}")
 
 
 def int_to_coeffs(value: int, length: int, p: int) -> tuple[int, ...]:
@@ -210,10 +219,7 @@ class FieldCtx:
     __slots__ = ("p", "e", "n", "m", "q", "order", "modulus", "_frob")
 
     def __init__(self, p: int, e: int, n: int, modulus=None):
-        if not isinstance(p, int) or not is_prime(p):
-            raise ValueError(f"p={p} is not prime")
-        if p > MAX_PRIME:
-            raise ValueError(f"p={p} exceeds the word-size bound {MAX_PRIME}")
+        check_characteristic(p)
         if not isinstance(e, int) or e < 1:
             raise ValueError(f"e={e} must be a positive integer")
         if not isinstance(n, int) or n < 1:

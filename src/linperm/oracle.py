@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 from . import _kernel, binomial, linpoly
 from .errors import CapacityError, NotAPermutationError
-from .ffield import FieldCtx, embed_subfield, field_ctx
+from .ffield import (FieldCtx, check_characteristic, embed_subfield,
+                     field_ctx)
 from .linpoly import LinearizedPoly
 
 # Hard safety cap on exhaustive enumeration, in field elements.
@@ -137,7 +138,8 @@ class SweepConfig:
 
     ``max_field_order`` caps p^(e*n) for exhaustive checks and may not
     exceed the module safety cap; the structural bounds cut off the (e, n, t)
-    enumeration, which the order cap usually bounds first anyway.
+    enumeration, which the order cap usually bounds first anyway.  Every
+    entry of ``primes`` must be a prime no larger than ``MAX_PRIME``.
     """
 
     max_field_order: int = 729
@@ -155,6 +157,8 @@ class SweepConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         object.__setattr__(self, "primes", tuple(self.primes))
+        for p in self.primes:
+            check_characteristic(p)
 
 
 @dataclass(frozen=True)

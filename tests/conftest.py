@@ -1,16 +1,9 @@
 import pytest
 
-from linperm import field_ctx, kernel_backend
+from linperm import field_ctx
 
-COMPILED = kernel_backend() == "cython"
-
-# The heaviest exhaustive sweeps are sized for the compiled core; under the
-# pure-Python fallback they shrink to keep the suite responsive.
-EXHAUSTIVE_FIELDS = (
-    [(2, 1, 2), (2, 1, 3), (2, 2, 2), (3, 1, 2), (3, 1, 3), (5, 1, 2)]
-    if COMPILED else
-    [(2, 1, 2), (2, 1, 3), (3, 1, 2)]
-)
+EXHAUSTIVE_FIELDS = [(2, 1, 2), (2, 1, 3), (2, 2, 2), (3, 1, 2), (3, 1, 3),
+                     (5, 1, 2)]
 
 
 @pytest.fixture(scope="session")

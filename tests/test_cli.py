@@ -155,9 +155,11 @@ class TestVerify:
             assert "injected" in failure["detail"]
 
     def test_bad_prime_list(self, capsys):
-        code, _, err = run(capsys, "verify", "--max-order", "16",
-                           "--primes", "2,x")
-        assert code == 1
+        for primes in ("2,x", "4", "2,1"):
+            code, _, err = run(capsys, "verify", "--max-order", "16",
+                               "--primes", primes)
+            assert code == 1
+            assert err.startswith("error:") and "Traceback" not in err
 
     def test_cap_enforced(self, capsys):
         code, _, err = run(capsys, "verify", "--max-order", "2000000")

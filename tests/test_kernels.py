@@ -1,20 +1,13 @@
-"""Backend kernels: reference semantics and compiled/pure parity."""
+"""Arithmetic kernels against their reference semantics."""
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linperm import _corepy
+from linperm import _kernel as kernel
 from linperm.ffield import field_ctx
 
-try:
-    from linperm import _corecy
-except ImportError:
-    _corecy = None
-
-BACKENDS = [_corepy] + ([_corecy] if _corecy else [])
 PRIMES = [2, 3, 5, 7, 31, 101, 2**31 - 1]
 
 
@@ -44,18 +37,16 @@ def kernel_case(draw):
     return p, mod, a, b, mat
 
 
-@pytest.mark.parametrize("kernel", BACKENDS, ids=lambda k: k.BACKEND)
 @given(case=kernel_case())
 @settings(max_examples=150, deadline=None)
-def test_mulmod_matches_naive_reference(kernel, case):
+def test_mulmod_matches_naive_reference(case):
     p, mod, a, b, _ = case
     assert kernel.mulmod(a, b, mod, p) == naive_mulmod(a, b, mod, p)
 
 
-@pytest.mark.parametrize("kernel", BACKENDS, ids=lambda k: k.BACKEND)
 @given(case=kernel_case())
 @settings(max_examples=150, deadline=None)
-def test_elementwise_ops(kernel, case):
+def test_elementwise_ops(case):
     p, _, a, b, mat = case
     m = len(a)
     assert kernel.addmod(a, b, p) == [(x + y) % p for x, y in zip(a, b)]
@@ -63,18 +54,6 @@ def test_elementwise_ops(kernel, case):
     assert kernel.negmod(a, p) == [-x % p for x in a]
     expected = [sum(mat[i * m + j] * a[j] for j in range(m)) % p for i in range(m)]
     assert kernel.matvec(mat, a, p) == expected
-
-
-@pytest.mark.skipif(_corecy is None, reason="compiled core not built")
-@given(case=kernel_case())
-@settings(max_examples=200, deadline=None)
-def test_backend_parity(case):
-    p, mod, a, b, mat = case
-    assert _corecy.mulmod(a, b, mod, p) == _corepy.mulmod(a, b, mod, p)
-    assert _corecy.matvec(mat, a, p) == _corepy.matvec(mat, a, p)
-    assert _corecy.addmod(a, b, p) == _corepy.addmod(a, b, p)
-    assert _corecy.submod(a, b, p) == _corepy.submod(a, b, p)
-    assert _corecy.negmod(a, p) == _corepy.negmod(a, p)
 
 
 def per_element_eval_all(kernel, rows, mats, mod, p):
@@ -92,8 +71,7 @@ def per_element_eval_all(kernel, rows, mats, mod, p):
     return out
 
 
-@pytest.mark.parametrize("kernel", BACKENDS, ids=lambda k: k.BACKEND)
-def test_eval_all_matches_per_element_evaluation(kernel):
+def test_eval_all_matches_per_element_evaluation():
     # two terms over GF(3^2) with modulus t^2 + 1
     p = 3
     mod = [1, 0, 1]
@@ -119,16 +97,3 @@ def test_eval_all_matches_per_element_evaluation(kernel):
                 got = kernel.eval_all(rows, mats, mod, p)
                 assert got == per_element_eval_all(kernel, rows, mats, mod, p), (
                     p, m, terms)
-
-
-@pytest.mark.skipif(_corecy is None, reason="compiled core not built")
-def test_eval_all_backend_parity():
-    rng = random.Random(7)
-    p, m = 2, 3
-    mod = [1, 1, 0, 1]
-    for _ in range(20):
-        terms = rng.randrange(0, 4)
-        rows = [[rng.randrange(p) for _ in range(m)] for _ in range(terms)]
-        mats = [[rng.randrange(p) for _ in range(m * m)] for _ in range(terms)]
-        assert (_corecy.eval_all(rows, mats, mod, p)
-                == _corepy.eval_all(rows, mats, mod, p))

@@ -82,6 +82,11 @@ class TestSweepConfig:
             SweepConfig(max_field_order=0)
         with pytest.raises(ValueError):
             SweepConfig(max_n=0)
+        # 2147483659 is prime but above ffield.MAX_PRIME
+        assert ffield.is_prime(2147483659) and 2147483659 > ffield.MAX_PRIME
+        for primes in [(4,), (1,), (2147483659,), (2, 0)]:
+            with pytest.raises(ValueError):
+                SweepConfig(primes=primes)
 
 
 class TestSweep:
