@@ -185,6 +185,19 @@ def _is_irreducible(f, p: int) -> bool:
     return True
 
 
+def _binomials_reducible(p: int, m: int) -> bool:
+    """True when no x^m + c over GF(p) is irreducible.
+
+    By Capelli's theorem (Lidl-Niederreiter, Finite Fields, Thm 3.75) that
+    happens exactly when some prime l | m does not divide p - 1, or when
+    4 | m and p = 3 (mod 4).
+    """
+    if m % 4 == 0 and p % 4 == 3:
+        return True
+    return any(m % l == 0 and (p - 1) % l and is_prime(l)
+               for l in range(2, m + 1))
+
+
 @functools.lru_cache(maxsize=None)
 def find_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Monic irreducible of degree m over GF(p) with the smallest encoding.
@@ -196,7 +209,9 @@ def find_irreducible(p: int, m: int) -> tuple[int, ...]:
         raise ValueError(f"p={p} is not prime")
     if m < 1:
         raise ValueError(f"degree m={m} must be positive")
-    for tail in range(p**m):
+    # tails below p are the binomials x^m + c; skip them when none is
+    # irreducible, which leaves the smallest irreducible unchanged
+    for tail in range(p if _binomials_reducible(p, m) else 0, p**m):
         f = int_to_coeffs(tail, m, p) + (1,)
         if _is_irreducible(f, p):
             return f

@@ -140,21 +140,42 @@ class DicksonMatrix:
         return LinearizedPoly(self.ctx, self.entries[0])
 
     def det(self) -> FieldElem:
-        det, _ = _eliminate(self.ctx, [list(r) for r in self.entries], False)
-        return det
+        return _eliminate(self.ctx, [list(r) for r in self.entries], False)
 
     def inverse(self) -> "DicksonMatrix":
-        det, inv = _eliminate(self.ctx, [list(r) for r in self.entries], True)
-        if det.is_zero():
-            raise SingularMatrixError("matrix is singular")
-        return DicksonMatrix(self.ctx, inv)
+        return self.det_and_inverse()[1]
 
     def det_and_inverse(self) -> tuple[FieldElem, "DicksonMatrix"]:
-        """One elimination pass; raises on a singular matrix."""
-        det, inv = _eliminate(self.ctx, [list(r) for r in self.entries], True)
+        """Gauss-Jordan on [D | I]; raises on a singular matrix."""
+        ctx = self.ctx
+        n = ctx.n
+        rows = [list(row) + [ctx.one if i == j else ctx.zero for j in range(n)]
+                for i, row in enumerate(self.entries)]
+        det = _eliminate(ctx, rows, True)
         if det.is_zero():
             raise SingularMatrixError("matrix is singular")
-        return det, DicksonMatrix(self.ctx, inv)
+        return det, DicksonMatrix(ctx, [row[n:] for row in rows])
+
+    def inverse_poly(self) -> LinearizedPoly:
+        """Compositional inverse of :meth:`poly`: row 0 of the inverse matrix.
+
+        Row 0 is the solution x of x D = e_0 (see :func:`_solve_row0`), so
+        the rest of the inverse is never formed.  As a consistency check the
+        determinant is recomputed by first-column cofactor expansion
+        (cofactor (i,0) equals det times x_i) and must match the elimination
+        determinant and be fixed by the q-power Frobenius.
+        """
+        ctx = self.ctx
+        det, x = _solve_row0(ctx, self.entries)
+        if x is None:
+            raise SingularMatrixError("polynomial does not permute the field")
+        expansion = ctx.zero
+        for row, xi in zip(self.entries, x):
+            if row[0] and xi:
+                expansion = expansion + row[0] * (det * xi)
+        if expansion != det or det.frobenius(ctx.e) != det:
+            raise AssertionError("cofactor expansion disagrees with elimination")
+        return LinearizedPoly(ctx, x)
 
     def cofactor(self, i: int, j: int) -> FieldElem:
         """Signed minor determinant; defined for singular matrices too."""
@@ -165,7 +186,7 @@ class DicksonMatrix:
         ]
         if not minor:
             return ctx.one
-        det = _minor_det(ctx, minor)
+        det = _eliminate(ctx, minor, False)
         return det if (i + j) % 2 == 0 else -det
 
     def __matmul__(self, other: "DicksonMatrix") -> "DicksonMatrix":
@@ -196,54 +217,65 @@ class DicksonMatrix:
         return f"DicksonMatrix({encs} over {self.ctx!r})"
 
 
-def _eliminate(ctx, rows, want_inverse):
-    """Gaussian elimination with first-nonzero pivoting.
+def _eliminate(ctx, rows, jordan):
+    """Row-reduce the n rows in place on their first n columns; return det.
 
-    Returns (det, inverse_rows); the inverse half is None unless requested
-    and the matrix is nonsingular.  Zero multipliers are skipped, which makes
-    sparse two-diagonal matrices cheap without special-casing them.
+    Pivots are the first nonzero entry of each column and are scaled to one;
+    columns past n (right-hand sides) are carried along.  Forward elimination
+    alone leaves a unit upper-triangular block; ``jordan`` also clears above
+    each pivot.  A product is only formed when both operands are nonzero, so
+    an entry costs field work only while it is nonzero.  Returns zero, with
+    the rows partly reduced, on a singular matrix.
     """
     n = len(rows)
-    aug = [list(r) for r in rows]
-    inv = None
-    if want_inverse:
-        inv = [[ctx.one if i == j else ctx.zero for j in range(n)] for i in range(n)]
     det = ctx.one
     for col in range(n):
         pivot_row = None
         for r in range(col, n):
-            if aug[r][col]:
+            if rows[r][col]:
                 pivot_row = r
                 break
         if pivot_row is None:
-            return ctx.zero, None
+            return ctx.zero
         if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-            if inv is not None:
-                inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
             det = -det
-        pivot = aug[col][col]
+        pivot = rows[col][col]
         det = det * pivot
         pinv = pivot.inv()
-        aug[col] = [x * pinv for x in aug[col]]
-        if inv is not None:
-            inv[col] = [x * pinv for x in inv[col]]
-        lo = 0 if want_inverse else col + 1
-        for r in range(lo, n):
+        rows[col] = [x * pinv if x else x for x in rows[col]]
+        for r in range(0 if jordan else col + 1, n):
             if r == col:
                 continue
-            factor = aug[r][col]
+            factor = rows[r][col]
             if not factor:
                 continue
-            aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-            if inv is not None:
-                inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    return det, inv
-
-
-def _minor_det(ctx, rows):
-    det, _ = _eliminate(ctx, rows, False)
+            rows[r] = [x - factor * y if y else x
+                       for x, y in zip(rows[r], rows[col])]
     return det
+
+
+def _solve_row0(ctx, entries):
+    """(det, x) with x D = e_0 for the square matrix D given by its rows.
+
+    Forward elimination on [D^T | e_0] leaves det D in the pivots and a unit
+    upper-triangular system, solved for x by back substitution; x is row 0
+    of D^-1.  A singular D gives (0, None).
+    """
+    n = len(entries)
+    rows = [[row[i] for row in entries] + [ctx.one if i == 0 else ctx.zero]
+            for i in range(n)]
+    det = _eliminate(ctx, rows, False)
+    if not det:
+        return det, None
+    x = [ctx.zero] * n
+    for i in reversed(range(n)):
+        acc = rows[i][n]
+        for j in range(i + 1, n):
+            if rows[i][j] and x[j]:
+                acc = acc - rows[i][j] * x[j]
+        x[i] = acc
+    return det, x
 
 
 def is_permutation_dickson(L: LinearizedPoly) -> bool:
@@ -252,26 +284,11 @@ def is_permutation_dickson(L: LinearizedPoly) -> bool:
 
 
 def inverse_dickson(L: LinearizedPoly) -> LinearizedPoly:
-    """Compositional inverse through the Dickson matrix inverse.
+    """Compositional inverse through the Dickson matrix.
 
-    The inverse polynomial is row 0 of the inverse matrix.  As a consistency
-    check the determinant is recomputed by first-column cofactor expansion
-    (cofactor (i,0) equals det times entry (0,i) of the inverse) and must
-    match the elimination determinant and be fixed by the q-power Frobenius.
+    The inverse polynomial is row 0 of the inverse of L's Dickson matrix,
+    found by solving one linear system rather than inverting the matrix;
+    see :meth:`DicksonMatrix.inverse_poly`, which also re-checks the
+    determinant by cofactor expansion.
     """
-    ctx = L.ctx
-    D = L.dickson_matrix()
-    try:
-        det, Dinv = D.det_and_inverse()
-    except SingularMatrixError:
-        raise SingularMatrixError("polynomial does not permute the field") from None
-    n = ctx.n
-    expansion = ctx.zero
-    for i in range(n):
-        a = L.coeffs[(n - i) % n]
-        if a:
-            cof = det * Dinv.entries[0][i]
-            expansion = expansion + a.frobenius(ctx.e * i) * cof
-    if expansion != det or det.frobenius(ctx.e) != det:
-        raise AssertionError("cofactor expansion disagrees with elimination")
-    return LinearizedPoly(ctx, Dinv.entries[0])
+    return L.dickson_matrix().inverse_poly()

@@ -20,7 +20,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from . import _kernel, binomial, linpoly
+from . import _kernel, binomial
 from .errors import CapacityError, NotAPermutationError
 from .ffield import (FieldCtx, check_characteristic, embed_subfield,
                      field_ctx)
@@ -238,17 +238,16 @@ def _grid(cfg: SweepConfig):
                 yield p, e, n
 
 
-def _check_cofactors(ctx, spec, L, failures):
+def _check_cofactors(ctx, spec, D, det, failures):
     """Closed forms of the first-column cofactors of D for r = 1, a != 0.
 
     cofactor(0,0) = N(a)/a, cofactor(i,0) = (-1)^i N(a) a^-(1+q+...+q^i)
-    for middle i, cofactor(n-1,0) = (-1)^(n-1), and the determinant is
-    N(a) + (-1)^(n-1); all hold whether or not the binomial permutes.
+    for middle i, cofactor(n-1,0) = (-1)^(n-1), and the determinant ``det``
+    of D is N(a) + (-1)^(n-1); all hold whether or not the binomial permutes.
     """
     n = ctx.n
     a = spec.a
     nor = a.norm_rel(1)
-    D = L.dickson_matrix()
     checks = []
     checks.append(("cof0", D.cofactor(0, 0), nor * a.inv()))
     for i in range(1, n - 1):
@@ -258,7 +257,7 @@ def _check_cofactors(ctx, spec, L, failures):
         checks.append((f"cof{i}", D.cofactor(i, 0), expected))
     sign = binomial._sign(ctx, n - 1)
     checks.append((f"cof{n - 1}", D.cofactor(n - 1, 0), sign))
-    checks.append(("det", D.det(), nor + sign))
+    checks.append(("det", det, nor + sign))
     out = []
     for name, got, expected in checks:
         if got != expected:
@@ -272,11 +271,14 @@ def sweep(cfg: SweepConfig) -> SweepReport:
     """Cross-validate every closed form on the full (p, e, n, r, a) grid.
 
     Per case: the norm criterion, the determinant criterion, and exhaustive
-    bijectivity must agree; for permutations, the closed-form inverse must
-    compose to the identity both ways and match the matrix-method inverse
-    (and the special forms where they apply); for r = 1 the cofactor closed
-    forms are checked; and permutations are lifted to every admissible
-    bigger field and rechecked exhaustively.  Failures are collected, not
+    bijectivity must agree, and a non-permutation must have exactly
+    q^gcd(n, r) kernel elements; for permutations, the closed-form inverse
+    must compose to the identity both ways and match the matrix-method
+    inverse (and the special forms where they apply); for r = 1 the cofactor
+    closed forms are checked; and permutations are lifted to every
+    admissible bigger field and rechecked exhaustively.  L's Dickson matrix
+    is built once per case and serves the determinant, cofactor and
+    matrix-inverse checks.  Failures are collected, not
     raised: an internal consistency check that raises ``AssertionError``
     (the denominator check of the norm criterion, the cofactor check of the
     matrix method, the root check of the embedding) is recorded under its
@@ -320,11 +322,18 @@ def sweep(cfg: SweepConfig) -> SweepReport:
                     except AssertionError as exc:
                         fail(CHECK_CRITERION, f"norm criterion: {exc}")
                         perm_norm = None
-                    perm_det = linpoly.is_permutation_dickson(L)
+                    D = L.dickson_matrix()
+                    det = D.det()
+                    perm_det = bool(det)
                     img = table(L, "polynomial")
                     perm_brute = len(set(img)) == ctx.order
-                    if perm_brute != (img.count(0) == 1):
+                    kernel = img.count(0)
+                    if perm_brute != (kernel == 1):
                         fail(CHECK_CRITERION, "image and kernel checks disagree")
+                    elif not perm_brute and kernel != ctx.q ** math.gcd(n, r):
+                        # x^(q^r - 1) = -a has 0 or q^d - 1 nonzero solutions
+                        fail(CHECK_CRITERION, f"kernel has {kernel} elements, "
+                             f"expected {ctx.q ** math.gcd(n, r)}")
                     agree = perm_norm == perm_det == perm_brute
                     if not agree:
                         fail(CHECK_CRITERION,
@@ -334,7 +343,7 @@ def sweep(cfg: SweepConfig) -> SweepReport:
                     with _Timer(timings, CHECK_COFACTORS):
                         failures = []
                         report.cofactor_checks += _check_cofactors(
-                            ctx, spec, L, failures)
+                            ctx, spec, D, det, failures)
                         for detail in failures:
                             fail(CHECK_COFACTORS, detail)
 
@@ -354,7 +363,7 @@ def sweep(cfg: SweepConfig) -> SweepReport:
 
                 with _Timer(timings, CHECK_AGREEMENT):
                     try:
-                        M_dickson = linpoly.inverse_dickson(L)
+                        M_dickson = D.inverse_poly()
                     except AssertionError as exc:
                         fail(CHECK_AGREEMENT, f"matrix method: {exc}")
                     else:

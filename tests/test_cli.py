@@ -32,6 +32,14 @@ class TestField:
         assert code == 0
         assert json.loads(out) == {"modulus": 11, "order": 8}
 
+    def test_large_prime_without_irreducible_binomials(self, capsys):
+        # x^4 + c is reducible for every c when p = 3 (mod 4); the scan
+        # skips those p candidates and stops at x^4 + x + 1
+        p = 1000003
+        code, out, _ = run(capsys, "field", "--p", str(p), "--e", "1", "--n", "4")
+        assert code == 0
+        assert lines(out) == {"modulus": str(p**4 + p + 1), "order": str(p**4)}
+
     def test_bad_parameters_exit_nonzero(self, capsys):
         code, _, err = run(capsys, "field", "--p", "4", "--e", "1", "--n", "2")
         assert code == 1

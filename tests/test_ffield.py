@@ -6,8 +6,9 @@ import pytest
 
 from linperm import (ContextMismatchError, FieldCtx, embed_subfield, field_ctx,
                      find_irreducible)
-from linperm.ffield import (_is_irreducible, _pgcd, _pow_vec, _psub,
-                            coeffs_to_int, int_to_coeffs)
+from linperm.ffield import (_binomials_reducible, _is_irreducible, _pgcd,
+                            _pow_vec, _psub, coeffs_to_int, int_to_coeffs,
+                            is_prime)
 
 from conftest import EXHAUSTIVE_FIELDS
 
@@ -130,8 +131,34 @@ class TestFindIrreducible:
         ctx = FieldCtx(1009, 1, 4)
         assert ctx.modulus == find_irreducible(1009, 4)
 
+    @pytest.mark.parametrize("p", [v for v in range(2, 32) if is_prime(v)])
+    def test_binomial_skip_matches_plain_scan(self, p):
+        for m in range(1, 13):
+            binomial_irreducible = [
+                c for c in range(p)
+                if _is_irreducible(int_to_coeffs(c, m, p) + (1,), p)]
+            # Capelli's criterion is exact: the skip fires iff the block
+            # of binomials holds no irreducible
+            assert _binomials_reducible(p, m) == (not binomial_irreducible)
+            plain = next(
+                int_to_coeffs(tail, m, p) + (1,) for tail in range(p**m)
+                if _is_irreducible(int_to_coeffs(tail, m, p) + (1,), p))
+            assert find_irreducible(p, m) == plain
+
+    @pytest.mark.parametrize("p,m,modulus", [
+        (1000003, 4, (1, 1, 0, 0, 1)),        # x^4 + x + 1
+        (2**31 - 1, 4, (1, 1, 0, 0, 1)),
+        (2**31 - 1, 8, (8, 1, 0, 0, 0, 0, 0, 0, 1)),
+    ])
+    def test_pinned_large_moduli_past_the_binomials(self, p, m, modulus):
+        # p = 3 (mod 4) and 4 | m: no x^m + c is irreducible, so the p
+        # binomials are skipped instead of scanned
+        assert _binomials_reducible(p, m)
+        assert find_irreducible(p, m) == modulus
+
     @pytest.mark.parametrize("p,m", [(2, 4), (3, 3), (2, 11), (1009, 4),
-                                     (2**31 - 1, 2)])
+                                     (2**31 - 1, 2), (1000003, 4),
+                                     (2**31 - 1, 4)])
     def test_irreducibility_witness(self, p, m):
         # divides x^(p^m) - x, and gcd(x^(p^j) - x, f) = 1 for all j < m
         f = find_irreducible(p, m)

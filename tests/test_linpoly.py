@@ -4,11 +4,14 @@ import random
 
 import pytest
 
-from linperm import (DicksonMatrix, LinearizedPoly, SingularMatrixError,
-                     brute_is_permutation, field_ctx, inverse_dickson,
-                     is_permutation_dickson)
+from linperm import (BinomialSpec, DicksonMatrix, FieldElem, LinearizedPoly,
+                     SingularMatrixError, SweepConfig, brute_is_permutation,
+                     field_ctx, inverse_dickson, is_permutation_dickson, oracle)
 
 from conftest import EXHAUSTIVE_FIELDS
+
+# every (p, e, n) of the default sweep, field orders up to 729
+SWEEP_FIELDS = list(oracle._grid(SweepConfig()))
 
 
 def encs(obj):
@@ -226,6 +229,29 @@ class TestInverseDickson:
             assert L.compose(M) == ident
             assert M.compose(L) == ident
 
+    def test_no_product_has_a_zero_operand(self, monkeypatch):
+        zero_products = []
+        real = FieldElem.__mul__
+
+        def mul(self, other):
+            if not (self and other):
+                zero_products.append((self.to_int(), other.to_int()))
+            return real(self, other)
+
+        monkeypatch.setattr(FieldElem, "__mul__", mul)
+        for p, e, n in [(3, 1, 6), (2, 2, 4), (5, 1, 4)]:
+            ctx = field_ctx(p, e, n)
+            rng = random.Random(29 * p + n)
+            for r in range(1, n):
+                for _ in range(3):
+                    binomial = BinomialSpec(ctx.random_element(rng), r).poly()
+                    dense = LinearizedPoly(
+                        ctx, [ctx.random_element(rng) for _ in range(n)])
+                    for poly in (binomial, dense):
+                        if poly.dickson_matrix().det():
+                            inverse_dickson(poly)
+        assert zero_products == []
+
 
 class TestAlgebraicStructure:
     @pytest.mark.parametrize("p,e,n", EXHAUSTIVE_FIELDS)
@@ -238,8 +264,9 @@ class TestAlgebraicStructure:
             assert (A.compose(B).dickson_matrix()
                     == A.dickson_matrix() @ B.dickson_matrix())
 
-    @pytest.mark.parametrize("p,e,n", EXHAUSTIVE_FIELDS)
+    @pytest.mark.parametrize("p,e,n", SWEEP_FIELDS)
     def test_inverse_poly_has_inverse_matrix(self, p, e, n):
+        # the row-0 solve against full Gauss-Jordan, on dense random L
         ctx = field_ctx(p, e, n)
         rng = random.Random(17 * p + n)
         produced = 0
@@ -247,9 +274,15 @@ class TestAlgebraicStructure:
             L = LinearizedPoly(ctx, [ctx.random_element(rng) for _ in range(n)])
             D = L.dickson_matrix()
             if not D.det():
+                with pytest.raises(SingularMatrixError):
+                    inverse_dickson(L)
                 continue
             produced += 1
             assert inverse_dickson(L).dickson_matrix() == D.inverse()
+        # x^q - x vanishes on GF(q)
+        singular = [-ctx.one, ctx.one] + [ctx.zero] * (n - 2)
+        with pytest.raises(SingularMatrixError):
+            inverse_dickson(LinearizedPoly(ctx, singular))
 
     @pytest.mark.parametrize("p,e,n", EXHAUSTIVE_FIELDS)
     def test_determinant_lies_in_base_field(self, p, e, n):

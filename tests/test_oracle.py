@@ -190,6 +190,30 @@ class TestDirectCheck:
         assert any(f"({corrupt_tables}," in f.detail for f in criterion)
 
 
+class TestKernelCount:
+    """A non-permutation binomial has exactly q^gcd(n, r) kernel elements."""
+
+    def test_corrupted_kernel_count_is_a_criterion_failure(self, monkeypatch):
+        # send one more element of every non-permutation GF(9) table to zero;
+        # its image keeps other preimages, so the image size is unchanged
+        real = oracle._images
+
+        def images(poly, mismatches=None):
+            img = real(poly, mismatches)
+            if img.count(0) > 1:
+                img[next(i for i, y in enumerate(img) if y)] = 0
+            return img
+
+        monkeypatch.setattr(oracle, "_images", images)
+        report = sweep(SweepConfig(max_field_order=9, primes=(3,),
+                                   max_e=1, max_n=2))
+        assert report.cases == 9  # the sweep ran to the end
+        assert report.permutation_cases == 5
+        assert [f.check for f in report.failures] == [CHECK_CRITERION] * 4
+        assert all("kernel has 4 elements, expected 3" in f.detail
+                   for f in report.failures)
+
+
 def break_denominator_check(monkeypatch):
     """Run the norm criterion with the char-2 sign rule: over GF(9) with
     r = 1 its denominator check then fails for every a != 0."""
@@ -205,16 +229,15 @@ def break_denominator_check(monkeypatch):
 
 def break_cofactor_check(monkeypatch):
     """Shift entry (0, 0) of every Dickson inverse, so the cofactor expansion
-    of inverse_dickson disagrees with the determinant whenever a != 0."""
-    real = linpoly.DicksonMatrix.det_and_inverse
+    of the matrix method disagrees with the determinant whenever a != 0."""
+    real = linpoly._solve_row0
 
-    def faulty(self):
-        det, inv = real(self)
-        rows = [list(row) for row in inv.entries]
-        rows[0][0] = rows[0][0] + self.ctx.one
-        return det, linpoly.DicksonMatrix(self.ctx, rows)
+    def faulty(ctx, entries):
+        det, x = real(ctx, entries)
+        x[0] = x[0] + ctx.one
+        return det, x
 
-    monkeypatch.setattr(linpoly.DicksonMatrix, "det_and_inverse", faulty)
+    monkeypatch.setattr(linpoly, "_solve_row0", faulty)
 
 
 def break_root_check(monkeypatch):
