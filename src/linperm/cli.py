@@ -127,6 +127,7 @@ def cmd_verify(args):
             "lift_checks": report.lift_checks,
             "failures": [dataclasses.asdict(f) for f in report.failures],
             "timings": report.timings,
+            "counts": report.counts,
         }))
     else:
         print(report.format())
@@ -174,7 +175,9 @@ def run_bench(p, e, n, r, trials, rng=None):
 def cmd_bench(args):
     if args.trials < 0:
         raise CliError("trials must be nonnegative")
-    _context(args)
+    ctx = _context(args)
+    if not 1 <= args.r <= ctx.n - 1:
+        raise CliError(f"r={args.r} outside [1, {ctx.n - 1}]")
     if args.trials == 0:
         if args.json:
             print(json.dumps({}))

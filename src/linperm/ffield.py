@@ -7,9 +7,20 @@ m over GF(p); the integer encoding enc(x) = sum(coeffs[i] * p**i) is a
 bijection onto range(p**m) and is the text form used at every interface.
 
 The q-power Frobenius is the e-fold p-power Frobenius, so one basis carries
-the whole tower.  Frobenius maps are applied as cached GF(p)-linear matrices,
-and relative norms are products of Frobenius images, so no big-integer
-exponent is ever formed on the main arithmetic paths.
+the whole tower.  Relative norms are products of Frobenius images, so no
+big-integer exponent is ever formed on the main arithmetic paths.
+
+How products, inverses, powers and Frobenius images are computed depends on
+the field order alone.  A context of at most ``LOG_TABLE_MAX_ORDER``
+elements builds, on its first multiplicative operation, an antilog table
+of the powers of its smallest-encoding primitive element g and the inverse
+log table; then x*y = g^(log x + log y), 1/x = g^(-log x),
+x^k = g^(k log x) and x^(p^k) = g^(p^k log x), exponents mod order - 1.
+A larger context never builds tables: products are polynomial products
+reduced by the modulus, inverses come from the extended Euclidean
+algorithm, powers from square-and-multiply, and Frobenius maps are applied
+as cached GF(p)-linear matrices.  Elements are coefficient tuples either
+way, and addition, subtraction and negation are always coordinatewise.
 """
 
 from __future__ import annotations
@@ -23,6 +34,13 @@ from .errors import ContextMismatchError
 # Largest accepted characteristic: every coefficient product stays below
 # 2^62, so it fits a signed 64-bit word.
 MAX_PRIME = 2**31 - 1
+
+# Largest field order whose context multiplies through log tables.  The build
+# grows with the order: 2 ms at GF(3^6), 20 ms and 0.9 MB at GF(2^12), the
+# cost of about 1,300 vector products there, but 48 ms at GF(3^8) and
+# 170 ms and 3.8 MB at GF(2^14) (2-core VM, Python 3.11.7), which one-off
+# computations in those fields would not repay.
+LOG_TABLE_MAX_ORDER = 4096
 
 
 def is_prime(v: int) -> bool:
@@ -226,12 +244,17 @@ class FieldCtx:
     """Immutable description of GF(p^m) with its tower split m = e*n.
 
     Two contexts compare equal when (p, e, n, modulus) agree; equal contexts
-    are interchangeable.  Frobenius matrices are cached lazily per power, so
-    sharing one context across many operations is cheap and thread-safe in
-    the memoized-recompute sense.
+    are interchangeable.  Everything derived is built lazily and cached on
+    the context, so sharing one context across many operations is cheap and
+    thread-safe in the memoized-recompute sense: Frobenius matrices per
+    power, and, when ``order <= LOG_TABLE_MAX_ORDER``, the log and antilog
+    tables, built by the first product, inverse, power or Frobenius image
+    taken in the context (see :meth:`_log_tables`).  Creating a
+    context, converting encodings and adding never build them.
     """
 
-    __slots__ = ("p", "e", "n", "m", "q", "order", "modulus", "_frob")
+    __slots__ = ("p", "e", "n", "m", "q", "order", "modulus", "_frob",
+                 "_log", "_exp")
 
     def __init__(self, p: int, e: int, n: int, modulus=None):
         check_characteristic(p)
@@ -260,6 +283,8 @@ class FieldCtx:
         self.order = p**m
         self.modulus = modulus
         self._frob = {}
+        self._log = None
+        self._exp = None
 
     def __eq__(self, other):
         if not isinstance(other, FieldCtx):
@@ -311,6 +336,45 @@ class FieldCtx:
     def random_element(self, rng) -> "FieldElem":
         return self.from_int(rng.randrange(self.order))
 
+    @property
+    def has_log_tables(self) -> bool:
+        """Whether this context's log tables have been built."""
+        return self._log is not None
+
+    def _log_tables(self):
+        """The log table, built on first use; None above the size cap.
+
+        The tables are over the smallest-encoding primitive element g.
+        ``_exp[i]`` is g^i for i < 2(order - 1), so the sum of two logs
+        indexes it unreduced; ``_log`` maps each nonzero coefficient tuple
+        to its log in [0, order - 1).  g is primitive when g^(N/l) != 1 for
+        every prime l | N = order - 1, and the table must then hold N
+        distinct elements.
+        """
+        if self._log is not None or self.order > LOG_TABLE_MAX_ORDER:
+            return self._log
+        m, p, mod = self.m, self.p, self.modulus
+        units = self.order - 1
+        one = (1,) + (0,) * (m - 1)
+        factors = [l for l in range(2, units + 1)
+                   if units % l == 0 and is_prime(l)]
+        for enc in range(1, self.order):
+            g = int_to_coeffs(enc, m, p)
+            if all(tuple(_pow_vec(g, units // l, mod, p)) != one
+                   for l in factors):
+                break
+        exp = [one]
+        for _ in range(units - 1):
+            exp.append(tuple(_kernel.mulmod(g, exp[-1], mod, p)))
+        log = {v: i for i, v in enumerate(exp)}
+        if len(log) != units:
+            raise AssertionError(
+                f"antilog table holds {len(log)} distinct elements, "
+                f"expected {units}")
+        self._exp = exp + exp
+        self._log = log
+        return log
+
     def _frob_flat(self, k: int):
         """Flat m*m matrix of x -> x^(p^k) on the power basis, cached."""
         k %= self.m
@@ -347,7 +411,8 @@ def field_ctx(p: int, e: int, n: int) -> FieldCtx:
 
 
 class FieldElem:
-    """One element of a field context, as power-basis coordinates."""
+    """One element of a field context, as a tuple of power-basis
+    coordinates (the key of the log table in small contexts)."""
 
     __slots__ = ("ctx", "coeffs")
 
@@ -378,8 +443,16 @@ class FieldElem:
 
     def __mul__(self, other):
         other = self._peer(other)
-        return FieldElem(self.ctx, tuple(_kernel.mulmod(
-            self.coeffs, other.coeffs, self.ctx.modulus, self.ctx.p)))
+        ctx = self.ctx
+        log = ctx._log or ctx._log_tables()
+        if log is None:
+            return FieldElem(ctx, tuple(_kernel.mulmod(
+                self.coeffs, other.coeffs, ctx.modulus, ctx.p)))
+        la = log.get(self.coeffs)
+        lb = log.get(other.coeffs)
+        if la is None or lb is None:
+            return ctx.zero
+        return FieldElem(ctx, ctx._exp[la + lb])
 
     def __truediv__(self, other):
         other = self._peer(other)
@@ -390,20 +463,42 @@ class FieldElem:
             return NotImplemented
         if exponent < 0:
             return self.inv() ** (-exponent)
-        return FieldElem(self.ctx, tuple(_pow_vec(
-            self.coeffs, exponent, self.ctx.modulus, self.ctx.p)))
+        ctx = self.ctx
+        log = ctx._log or ctx._log_tables()
+        if log is None:
+            return FieldElem(ctx, tuple(_pow_vec(
+                self.coeffs, exponent, ctx.modulus, ctx.p)))
+        lx = log.get(self.coeffs)
+        if lx is None:
+            return ctx.one if exponent == 0 else ctx.zero
+        return FieldElem(ctx, ctx._exp[lx * exponent % (ctx.order - 1)])
 
     def inv(self) -> "FieldElem":
-        return FieldElem(self.ctx, tuple(_poly_invmod(
-            self.coeffs, self.ctx.modulus, self.ctx.p)))
+        ctx = self.ctx
+        log = ctx._log or ctx._log_tables()
+        if log is None:
+            return FieldElem(ctx, tuple(_poly_invmod(
+                self.coeffs, ctx.modulus, ctx.p)))
+        lx = log.get(self.coeffs)
+        if lx is None:
+            raise ZeroDivisionError("inverse of the zero field element")
+        return FieldElem(ctx, ctx._exp[ctx.order - 1 - lx])
 
     def frobenius(self, k: int) -> "FieldElem":
         """x -> x^(p^k); the q^j-power map is frobenius(e*j)."""
         if k < 0:
             raise ValueError("Frobenius power must be nonnegative")
-        flat = self.ctx._frob_flat(k)
-        return FieldElem(self.ctx, tuple(
-            _kernel.matvec(flat, self.coeffs, self.ctx.p)))
+        ctx = self.ctx
+        log = ctx._log or ctx._log_tables()
+        if log is None:
+            flat = ctx._frob_flat(k)
+            return FieldElem(ctx, tuple(
+                _kernel.matvec(flat, self.coeffs, ctx.p)))
+        lx = log.get(self.coeffs)
+        if lx is None:
+            return self
+        units = ctx.order - 1
+        return FieldElem(ctx, ctx._exp[lx * pow(ctx.p, k, units) % units])
 
     def norm_rel(self, d: int) -> "FieldElem":
         """Relative norm onto GF(q^d): the product of the q^d-conjugates.

@@ -64,17 +64,17 @@ class LinearizedPoly:
         return all(c.is_zero() for c in self.coeffs)
 
     def eval(self, x: FieldElem) -> FieldElem:
-        """L(x) as sum a_i * x^(q^i); additive and GF(q)-linear in x."""
+        """L(x) as sum a_i * x^(q^i); additive and GF(q)-linear in x.
+
+        One Frobenius image per nonzero coefficient past a_0.
+        """
         ctx = self.ctx
         if x.ctx is not ctx and x.ctx != ctx:
             raise ContextMismatchError("argument from a different context")
         acc = ctx.zero
-        y = x
         for i, a in enumerate(self.coeffs):
-            if i:
-                y = y.frobenius(ctx.e)
             if a:
-                acc = acc + a * y
+                acc = acc + a * (x.frobenius(ctx.e * i) if i else x)
         return acc
 
     def compose(self, other: "LinearizedPoly") -> "LinearizedPoly":

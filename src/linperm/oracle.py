@@ -40,6 +40,13 @@ CHECK_INVERSE = "inverse"
 CHECK_AGREEMENT = "agreement"
 CHECK_LIFT = "lift"
 
+# Work units a sweep counts in ``SweepReport.counts``: Dickson matrices
+# built, eliminations run on them (determinant, cofactor, row-0 solve),
+# brute-force image tables, direct evaluations that spot-check those tables,
+# lifts, and field contexts whose log tables the sweep built.
+COUNTS = ("dickson_matrices", "eliminations", "tables", "direct_evaluations",
+          "lifts", "log_tables")
+
 
 def _require_capacity(ctx: FieldCtx, max_order: int | None):
     cap = MAX_EXHAUSTIVE_ORDER if max_order is None else max_order
@@ -187,6 +194,10 @@ class SweepReport:
     lift_checks: int = 0
     failures: list[SweepFailure] = field(default_factory=list)
     timings: dict = field(default_factory=dict, compare=False)
+    # a context's log tables are built once per process, so a repeated
+    # sweep counts none; counts are left out of comparisons
+    counts: dict = field(default_factory=lambda: dict.fromkeys(COUNTS, 0),
+                         compare=False)
 
     @property
     def ok(self) -> bool:
@@ -278,7 +289,8 @@ def sweep(cfg: SweepConfig) -> SweepReport:
     closed forms are checked; and permutations are lifted to every
     admissible bigger field and rechecked exhaustively.  L's Dickson matrix
     is built once per case and serves the determinant, cofactor and
-    matrix-inverse checks.  Failures are collected, not
+    matrix-inverse checks.  The work done is counted per unit in
+    ``report.counts`` (see ``COUNTS``).  Failures are collected, not
     raised: an internal consistency check that raises ``AssertionError``
     (the denominator check of the norm criterion, the cofactor check of the
     matrix method, the root check of the embedding) is recorded under its
@@ -287,8 +299,12 @@ def sweep(cfg: SweepConfig) -> SweepReport:
     """
     report = SweepReport(config=cfg)
     timings = report.timings
+    counts = report.counts
+    untabled = set()            # contexts seen before their log tables
     for p, e, n in _grid(cfg):
         ctx = field_ctx(p, e, n)
+        if not ctx.has_log_tables:
+            untabled.add(ctx)
         identity = LinearizedPoly.identity(ctx)
         lift_ts = []
         if cfg.include_lift:
@@ -311,6 +327,8 @@ def sweep(cfg: SweepConfig) -> SweepReport:
                     # the brute-force oracle, whichever check reads it
                     bad = []
                     img = _images(poly, bad)
+                    counts["tables"] += 1
+                    counts["direct_evaluations"] += len(_direct_sample(poly.ctx))
                     if bad:
                         fail(CHECK_CRITERION, f"{what} table disagrees with "
                              f"direct evaluation at {bad}", t=t)
@@ -324,6 +342,8 @@ def sweep(cfg: SweepConfig) -> SweepReport:
                         perm_norm = None
                     D = L.dickson_matrix()
                     det = D.det()
+                    counts["dickson_matrices"] += 1
+                    counts["eliminations"] += 1
                     perm_det = bool(det)
                     img = table(L, "polynomial")
                     perm_brute = len(set(img)) == ctx.order
@@ -344,6 +364,7 @@ def sweep(cfg: SweepConfig) -> SweepReport:
                         failures = []
                         report.cofactor_checks += _check_cofactors(
                             ctx, spec, D, det, failures)
+                        counts["eliminations"] += n  # one per cofactor
                         for detail in failures:
                             fail(CHECK_COFACTORS, detail)
 
@@ -362,6 +383,7 @@ def sweep(cfg: SweepConfig) -> SweepReport:
                             fail(CHECK_INVERSE, "pointwise inverse check failed")
 
                 with _Timer(timings, CHECK_AGREEMENT):
+                    counts["eliminations"] += 1
                     try:
                         M_dickson = D.inverse_poly()
                     except AssertionError as exc:
@@ -381,7 +403,10 @@ def sweep(cfg: SweepConfig) -> SweepReport:
                 with _Timer(timings, CHECK_LIFT):
                     for t in lift_ts:
                         big = field_ctx(p, e * t, n)
+                        if not big.has_log_tables:
+                            untabled.add(big)
                         report.lift_checks += 1
+                        counts["lifts"] += 1
                         try:
                             lifted = binomial.lift(L, t, big)
                         except AssertionError as exc:
@@ -398,4 +423,5 @@ def sweep(cfg: SweepConfig) -> SweepReport:
                                for s in range(ctx.order)):
                             fail(CHECK_LIFT, "disagrees with the source on "
                                  "the embedded subfield", t=t)
+    counts["log_tables"] = sum(c.has_log_tables for c in untabled)
     return report

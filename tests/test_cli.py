@@ -138,12 +138,17 @@ class TestVerify:
         assert code == 0
         got = json.loads(out)
         assert set(got) == {"cases", "permutation_cases", "cofactor_checks",
-                            "lift_checks", "failures", "timings"}
+                            "lift_checks", "failures", "timings", "counts"}
         assert got["failures"] == []
         assert got["cases"] > 0
         assert set(got["timings"]) == {"criterion", "cofactors", "inverse",
                                        "agreement", "lift"}
         assert all(v >= 0 for v in got["timings"].values())
+        assert set(got["counts"]) == {"dickson_matrices", "eliminations",
+                                      "tables", "direct_evaluations", "lifts",
+                                      "log_tables"}
+        assert got["counts"]["dickson_matrices"] == got["cases"]
+        assert got["counts"]["lifts"] == got["lift_checks"]
 
     def test_json_failures_are_records(self, capsys, monkeypatch):
         def broken(p, small_mod, big_mod):
@@ -188,6 +193,13 @@ class TestBench:
                            "--trials", "0")
         assert code == 0
         assert out.strip() == ""
+
+    def test_zero_trials_still_checks_r(self, capsys):
+        code, out, err = run(capsys, "bench", "--p", "3", "--e", "1", "--n", "4",
+                             "--r", "9", "--trials", "0")
+        assert code == 1
+        assert out == ""
+        assert err.strip() == "error: r=9 outside [1, 3]"
 
     def test_sampling_failure_is_reported(self, capsys):
         # q = 2, gcd(r, n) = 1: only a = 0 permutes, so sampling may miss;

@@ -1,14 +1,16 @@
 """Field construction, arithmetic laws, Frobenius, norms, and embeddings."""
 
+import math
 import random
 
 import pytest
 
-from linperm import (ContextMismatchError, FieldCtx, embed_subfield, field_ctx,
-                     find_irreducible)
+from linperm import (BinomialSpec, ContextMismatchError, FieldCtx,
+                     embed_subfield, field_ctx, find_irreducible, lift)
+from linperm import _kernel, ffield, oracle
 from linperm.ffield import (_binomials_reducible, _is_irreducible, _pgcd,
-                            _pow_vec, _psub, coeffs_to_int, int_to_coeffs,
-                            is_prime)
+                            _poly_invmod, _pow_vec, _psub, coeffs_to_int,
+                            int_to_coeffs, is_prime)
 
 from conftest import EXHAUSTIVE_FIELDS
 
@@ -405,3 +407,136 @@ class TestEmbedding:
             ey = embed_subfield(y, bctx)
             assert embed_subfield(x + y, bctx) == ex + ey
             assert embed_subfield(x * y, bctx) == ex * ey
+
+
+def sweep_contexts(cap):
+    """Every context a sweep up to ``cap`` touches, lift targets included."""
+    cfg = oracle.SweepConfig(max_field_order=cap)
+    out = set()
+    for p, e, n in oracle._grid(cfg):
+        out.add((p, e, n))
+        for t in range(2, cfg.max_t + 1):
+            if math.gcd(t, n) == 1 and p ** (e * n * t) <= cap:
+                out.add((p, e * t, n))
+    return sorted(out)
+
+
+def vector_norm(x, d):
+    """The relative norm onto GF(q^d) by matrix Frobenius and mulmod."""
+    ctx = x.ctx
+    flat = ctx._frob_flat(ctx.e * d)
+    acc = y = list(x.coeffs)
+    for _ in range(ctx.n // d - 1):
+        y = _kernel.matvec(flat, y, ctx.p)
+        acc = _kernel.mulmod(acc, y, ctx.modulus, ctx.p)
+    return tuple(acc)
+
+
+def assert_matches_vector_path(ctx, pairs, singles):
+    """Table mul/inv/pow/frobenius/norm_rel against the vector kernels."""
+    p, mod = ctx.p, ctx.modulus
+    for x, y in pairs:
+        assert (x * y).coeffs == tuple(_kernel.mulmod(x.coeffs, y.coeffs, mod, p))
+    exponents = [0, 1, 2, ctx.order - 2, ctx.order - 1, ctx.order, 3**ctx.m + 5]
+    divisors = [d for d in range(1, ctx.n + 1) if ctx.n % d == 0]
+    for x in singles:
+        if x:
+            assert x.inv().coeffs == tuple(_poly_invmod(x.coeffs, mod, p))
+        for k in exponents:
+            assert (x ** k).coeffs == tuple(_pow_vec(x.coeffs, k, mod, p))
+        for k in range(ctx.m + 2):
+            assert x.frobenius(k).coeffs == tuple(
+                _kernel.matvec(ctx._frob_flat(k), x.coeffs, p))
+        for d in divisors:
+            assert x.norm_rel(d).coeffs == vector_norm(x, d)
+    assert ctx.has_log_tables
+
+
+class TestLogTables:
+    """Small contexts multiply through log tables; the vector kernels are
+    the reference they must match."""
+
+    @pytest.mark.parametrize("p,e,n", sweep_contexts(64))
+    def test_matches_vector_path_exhaustively(self, p, e, n):
+        ctx = field_ctx(p, e, n)
+        xs = list(ctx.elements())
+        assert_matches_vector_path(ctx, [(x, y) for x in xs for y in xs], xs)
+
+    def test_matches_vector_path_near_the_cap(self):
+        ctx = field_ctx(2, 2, 6)
+        assert ctx.order == ffield.LOG_TABLE_MAX_ORDER
+        rng = random.Random(4096)
+        xs = [ctx.random_element(rng) for _ in range(300)] + [ctx.zero, ctx.one]
+        assert_matches_vector_path(ctx, list(zip(xs, xs[::-1])), xs[:60])
+
+    def test_table_is_a_cyclic_group(self, f9):
+        f9.one * f9.one
+        order = f9.order - 1
+        assert len(set(f9._exp[:order])) == order
+        assert f9._exp[:order] == f9._exp[order:]
+        assert all(f9._exp[f9._log[v]] == v for v in f9._log)
+        # the smallest-encoding primitive element of GF(9) = GF(3)[t]/(t^2+1)
+        assert coeffs_to_int(f9._exp[1], 3) == 4
+
+    def test_build_rejects_a_repeating_table(self, monkeypatch):
+        # a product that ignores its first factor makes every power of g one
+        monkeypatch.setattr(_kernel, "mulmod", lambda a, b, mod, p: list(b))
+        ctx = FieldCtx(3, 1, 2)
+        with pytest.raises(AssertionError, match="1 distinct elements"):
+            ctx.one * ctx.one
+        assert not ctx.has_log_tables
+
+    def test_zero(self, f9):
+        zero, one = f9.zero, f9.one
+        with pytest.raises(ZeroDivisionError):
+            zero.inv()
+        with pytest.raises(ZeroDivisionError):
+            zero ** -1
+        assert zero ** 0 == one
+        assert zero ** 5 == zero
+        assert zero.frobenius(1) == zero
+        assert f9.from_int(5) * zero == zero * f9.from_int(5) == zero
+        assert f9.has_log_tables
+
+    def test_above_the_cap_builds_nothing(self):
+        ctx = FieldCtx(2, 1, 13)
+        assert ctx.order > ffield.LOG_TABLE_MAX_ORDER
+        x = ctx.from_int(1234)
+        y = ctx.from_int(777)
+        assert (x * y).coeffs == tuple(
+            _kernel.mulmod(x.coeffs, y.coeffs, ctx.modulus, 2))
+        assert x * x.inv() == ctx.one
+        assert x.frobenius(ctx.m) == x
+        assert ctx.zero ** 0 == ctx.one
+        with pytest.raises(ZeroDivisionError):
+            ctx.zero.inv()
+        assert not ctx.has_log_tables
+
+    def test_lift_workload_builds_no_table(self):
+        # the small fields of the lift benchmark are below the cap, so
+        # setting up and lifting must not multiply in them
+        for p, e, n, t, a, r in [(2, 1, 7, 2, 5, 3), (5, 1, 3, 2, 7, 1),
+                                 (3, 1, 4, 3, 10, 1), (2, 3, 3, 2, 9, 2)]:
+            small = FieldCtx(p, e, n)
+            L = BinomialSpec(small.from_int(a), r).poly()
+            big = FieldCtx(p, e * t, n)
+            lifted = lift(L, t, big)
+            embed_subfield(small.gen(), big)
+            assert lifted.to_encodings()[0] != 0
+            assert not small.has_log_tables and not big.has_log_tables
+
+    def test_corrupted_antilog_entry_is_caught_by_the_sweep(self, monkeypatch):
+        # the brute-force tables use the vector kernels, so the direct
+        # evaluations, now on the log tables, disagree with them
+        ctx = field_ctx(3, 1, 3)
+        ctx.one * ctx.one
+        corrupt = list(ctx._exp)
+        for i in (5, 5 + ctx.order - 1):
+            corrupt[i] = corrupt[6]
+        monkeypatch.setattr(ctx, "_exp", corrupt)
+        report = oracle.sweep(oracle.SweepConfig(max_field_order=27,
+                                                 primes=(3,)))
+        assert report.cases == 9 + 2 * 27
+        assert not report.ok
+        assert report.failures_for(oracle.CHECK_CRITERION)
+        assert all((f.p, f.n) == (3, 3) for f in report.failures)
