@@ -22,10 +22,12 @@ def negmod(a, p):
 
 
 def mulmod(a, b, mod, p):
-    """Product of two length-m vectors, reduced by the monic ``mod``."""
+    """Product of two length-m vectors, reduced by the monic ``mod``.
+
+    Schoolbook product, then reduction from the top degree down; for m = 1
+    the product has one entry and there is nothing to reduce.
+    """
     m = len(mod) - 1
-    if m == 1:
-        return [a[0] * b[0] % p]
     prod = [0] * (2 * m - 1)
     for i, ai in enumerate(a):
         if ai:

@@ -72,7 +72,7 @@ def is_permutation_binomial(spec: BinomialSpec) -> bool:
     nor = spec.a.norm_rel(spec.d)
     perm = _sign(ctx, nd) * nor != ctx.one
     denominator = nor + _sign(ctx, nd - 1)
-    if denominator.is_zero() == perm:
+    if bool(denominator) != perm:
         raise AssertionError("denominator test disagrees with norm criterion")
     return perm
 
@@ -84,7 +84,7 @@ def geometric_power(a: FieldElem, r: int, i: int) -> FieldElem:
     relative norm onto GF(q^d).
     """
     ctx = a.ctx
-    if a.is_zero():
+    if not a:
         raise ZeroDivisionError("conjugate products of 0 are degenerate")
     if not 1 <= r <= ctx.n - 1:
         raise ValueError(f"r={r} outside [1, {ctx.n - 1}]")
@@ -109,12 +109,12 @@ def inverse_binomial(spec: BinomialSpec) -> LinearizedPoly:
     """
     ctx = spec.ctx
     n, e, r, d = ctx.n, ctx.e, spec.r, spec.d
-    if spec.a.is_zero():
+    if not spec.a:
         return LinearizedPoly.monomial(ctx, (n - r) % n)
     nd = n // d
     nor = spec.a.norm_rel(d)
     denominator = nor + _sign(ctx, nd - 1)
-    if denominator.is_zero():
+    if not denominator:
         raise NotAPermutationError(
             "binomial does not permute the field: criterion value is 1",
             criterion_value=criterion_value(spec))
@@ -173,14 +173,14 @@ def inverse_special(spec: BinomialSpec, which: str | None = None) -> LinearizedP
         raise UnsupportedShapeError(f"r={r}, n={n} does not fit shape {which!r}")
 
     a = spec.a
-    if a.is_zero():
+    if not a:
         return LinearizedPoly.monomial(ctx, (n - r) % n)
 
     if which == SHAPE_HALF:
         h = n // 2
         b = a ** (q**h)
         denominator = b * a - ctx.one
-        if denominator.is_zero():
+        if not denominator:
             raise NotAPermutationError(
                 "binomial does not permute the field: a^(q^(n/2)+1) = 1",
                 criterion_value=criterion_value(spec))
@@ -195,7 +195,7 @@ def inverse_special(spec: BinomialSpec, which: str | None = None) -> LinearizedP
     base = q if which == SHAPE_R_ONE else q**r
     nor = a ** ((q**n - 1) // (q - 1))
     denominator = nor + _sign(ctx, n - 1)
-    if denominator.is_zero():
+    if not denominator:
         raise NotAPermutationError(
             "binomial does not permute the field: (-1)^n N(a) = 1",
             criterion_value=criterion_value(spec))
@@ -208,6 +208,17 @@ def inverse_special(spec: BinomialSpec, which: str | None = None) -> LinearizedP
     return LinearizedPoly(ctx, coeffs)
 
 
+def check_lift_factor(t: int, n: int) -> None:
+    """Raise ValueError unless ``t`` is a positive integer coprime to n.
+
+    Cheap, so callers run it before building the big field GF(q^(t*n)).
+    """
+    if not isinstance(t, int) or t < 1:
+        raise ValueError(f"t={t} must be a positive integer")
+    if math.gcd(t, n) != 1:
+        raise ValueError(f"t={t} is not coprime to n={n}")
+
+
 def lift(L: LinearizedPoly, t: int, big: FieldCtx) -> LinearizedPoly:
     """Transplant L over GF(q^n) to GF(qbar^n) with qbar = q^t, gcd(t, n) = 1.
 
@@ -217,10 +228,7 @@ def lift(L: LinearizedPoly, t: int, big: FieldCtx) -> LinearizedPoly:
     """
     small = L.ctx
     n = small.n
-    if not isinstance(t, int) or t < 1:
-        raise ValueError(f"t={t} must be a positive integer")
-    if math.gcd(t, n) != 1:
-        raise ValueError(f"t={t} is not coprime to n={n}")
+    check_lift_factor(t, n)
     if big.p != small.p or big.n != n or big.e != small.e * t:
         raise ValueError(
             f"big context must be (p={small.p}, e={small.e * t}, n={n}), "

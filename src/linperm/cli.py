@@ -103,6 +103,7 @@ def cmd_lift(args):
     spec = _spec(args)
     ctx = spec.ctx
     try:
+        binomial.check_lift_factor(args.t, ctx.n)
         big = field_ctx(ctx.p, ctx.e * args.t, ctx.n)
         lifted = binomial.lift(spec.poly(), args.t, big)
     except ValueError as exc:
@@ -118,6 +119,11 @@ def cmd_verify(args):
         cfg = oracle.SweepConfig(max_field_order=args.max_order, primes=primes)
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    if next(oracle._grid(cfg), None) is None:
+        primes = ",".join(map(str, cfg.primes)) or "none"
+        raise CliError(f"nothing to verify: no field GF(p^(e*n)) with n >= 2 "
+                       f"and order at most {cfg.max_field_order} for primes "
+                       f"{primes}")
     report = oracle.sweep(cfg)
     if args.json:
         print(json.dumps({
@@ -144,7 +150,7 @@ def _sample_permutation_spec(ctx, r, rng):
         "(q = 2 with gcd(r, n) = 1 admits almost none)")
 
 
-def run_bench(p, e, n, r, trials, rng=None):
+def run_bench(p, e, n, r, trials):
     """Time the closed-form inverse against the matrix-method inverse.
 
     Returns (closed_ns, dickson_ns, agree) as mean wall nanoseconds per
@@ -153,7 +159,7 @@ def run_bench(p, e, n, r, trials, rng=None):
     ctx = field_ctx(p, e, n)
     if not 1 <= r <= n - 1:
         raise CliError(f"r={r} outside [1, {n - 1}]")
-    rng = rng or random.Random(BENCH_SEED)
+    rng = random.Random(BENCH_SEED)
     closed_total = 0
     dickson_total = 0
     agree = True

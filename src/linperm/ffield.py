@@ -1,8 +1,9 @@
 """Exact arithmetic in GF(p^m) on a single polynomial basis.
 
-A :class:`FieldCtx` fixes a prime p, tower parameters e and n (q = p^e, the
-ambient field is GF(q^n), total degree m = e*n over GF(p)) and a monic
-irreducible modulus of degree m.  Elements are coefficient vectors of length
+A :class:`FieldCtx` fixes a prime p and tower parameters e and n (q = p^e,
+the ambient field is GF(q^n), total degree m = e*n over GF(p)); its modulus
+is always :func:`find_irreducible` (p, m), the monic irreducible of degree m
+with the smallest encoding.  Elements are coefficient vectors of length
 m over GF(p); the integer encoding enc(x) = sum(coeffs[i] * p**i) is a
 bijection onto range(p**m) and is the text form used at every interface.
 
@@ -243,8 +244,9 @@ def find_irreducible(p: int, m: int) -> tuple[int, ...]:
 class FieldCtx:
     """Immutable description of GF(p^m) with its tower split m = e*n.
 
-    Two contexts compare equal when (p, e, n, modulus) agree; equal contexts
-    are interchangeable.  Everything derived is built lazily and cached on
+    The modulus is the canonical ``find_irreducible(p, e*n)``, so two
+    contexts compare equal when (p, e, n) agree; equal contexts are
+    interchangeable.  Everything derived is built lazily and cached on
     the context, so sharing one context across many operations is cheap and
     thread-safe in the memoized-recompute sense: Frobenius matrices per
     power, and, when ``order <= LOG_TABLE_MAX_ORDER``, the log and antilog
@@ -256,32 +258,20 @@ class FieldCtx:
     __slots__ = ("p", "e", "n", "m", "q", "order", "modulus", "_frob",
                  "_log", "_exp")
 
-    def __init__(self, p: int, e: int, n: int, modulus=None):
+    def __init__(self, p: int, e: int, n: int):
         check_characteristic(p)
         if not isinstance(e, int) or e < 1:
             raise ValueError(f"e={e} must be a positive integer")
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"n={n} must be a positive integer")
         m = e * n
-        if modulus is None:
-            modulus = find_irreducible(p, m)
-        else:
-            modulus = tuple(int(c) for c in modulus)
-            if len(modulus) != m + 1:
-                raise ValueError(f"modulus must have degree m={m}")
-            if modulus[-1] != 1:
-                raise ValueError("modulus must be monic")
-            if any(c < 0 or c >= p for c in modulus):
-                raise ValueError("modulus coefficients must lie in [0, p)")
-            if not _is_irreducible(modulus, p):
-                raise ValueError("modulus is reducible over GF(p)")
         self.p = p
         self.e = e
         self.n = n
         self.m = m
         self.q = p**e
         self.order = p**m
-        self.modulus = modulus
+        self.modulus = find_irreducible(p, m)
         self._frob = {}
         self._log = None
         self._exp = None
@@ -289,11 +279,10 @@ class FieldCtx:
     def __eq__(self, other):
         if not isinstance(other, FieldCtx):
             return NotImplemented
-        return (self.p, self.e, self.n, self.modulus) == (
-            other.p, other.e, other.n, other.modulus)
+        return (self.p, self.e, self.n) == (other.p, other.e, other.n)
 
     def __hash__(self):
-        return hash((self.p, self.e, self.n, self.modulus))
+        return hash((self.p, self.e, self.n))
 
     def __repr__(self):
         return (f"FieldCtx(p={self.p}, e={self.e}, n={self.n}, "
@@ -321,12 +310,6 @@ class FieldCtx:
         if not 0 <= value < self.order:
             raise ValueError(f"encoding {value} outside [0, {self.order})")
         return FieldElem(self, int_to_coeffs(value, self.m, self.p))
-
-    def from_coeffs(self, coeffs) -> "FieldElem":
-        coeffs = tuple(int(c) % self.p for c in coeffs)
-        if len(coeffs) != self.m:
-            raise ValueError(f"need exactly m={self.m} coordinates")
-        return FieldElem(self, coeffs)
 
     def elements(self):
         """All field elements, in encoding order."""
@@ -518,9 +501,6 @@ class FieldElem:
 
     def to_int(self) -> int:
         return coeffs_to_int(self.coeffs, self.ctx.p)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def __bool__(self):
         return any(self.coeffs)

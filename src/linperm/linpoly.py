@@ -43,14 +43,12 @@ class LinearizedPoly:
         return cls.monomial(ctx, 0)
 
     @classmethod
-    def monomial(cls, ctx: FieldCtx, r: int, coeff: FieldElem | None = None) -> "LinearizedPoly":
-        """c * x^(q^r) with c defaulting to 1."""
+    def monomial(cls, ctx: FieldCtx, r: int) -> "LinearizedPoly":
+        """x^(q^r)."""
         if not 0 <= r < ctx.n:
             raise ValueError(f"slot r={r} outside [0, {ctx.n})")
-        if coeff is None:
-            coeff = ctx.one
         coeffs = [ctx.zero] * ctx.n
-        coeffs[r] = coeff
+        coeffs[r] = ctx.one
         return cls(ctx, coeffs)
 
     @classmethod
@@ -59,9 +57,6 @@ class LinearizedPoly:
 
     def to_encodings(self) -> tuple[int, ...]:
         return tuple(c.to_int() for c in self.coeffs)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
 
     def eval(self, x: FieldElem) -> FieldElem:
         """L(x) as sum a_i * x^(q^i); additive and GF(q)-linear in x.
@@ -152,7 +147,7 @@ class DicksonMatrix:
         rows = [list(row) + [ctx.one if i == j else ctx.zero for j in range(n)]
                 for i, row in enumerate(self.entries)]
         det = _eliminate(ctx, rows, True)
-        if det.is_zero():
+        if not det:
             raise SingularMatrixError("matrix is singular")
         return det, DicksonMatrix(ctx, [row[n:] for row in rows])
 

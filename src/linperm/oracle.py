@@ -7,9 +7,9 @@ evaluating the polynomial directly on the m basis vectors of GF(p^m) and
 extending by GF(p)-linearity.  Linearity is checked, not assumed: a seeded
 sample of non-basis elements is re-evaluated directly with
 :meth:`LinearizedPoly.eval` and must match the table.  The exhaustive
-routines refuse to run above a field-order cap, and :func:`sweep` drives the
-full cross-validation grid over (p, e, n, r, a), collecting failures as data
-instead of raising.
+routines refuse fields above ``MAX_EXHAUSTIVE_ORDER`` elements, and
+:func:`sweep` drives the full cross-validation grid over (p, e, n, r, a),
+collecting failures as data instead of raising.
 """
 
 from __future__ import annotations
@@ -28,6 +28,14 @@ from .linpoly import LinearizedPoly
 
 # Hard safety cap on exhaustive enumeration, in field elements.
 MAX_EXHAUSTIVE_ORDER = 1_000_000
+
+# Structural bounds of the sweep grid: the extension degree n, the exponent
+# e of q = p^e, and the lift factor t.  Below a field-order cap of 2^17
+# the cap alone decides the grid; MAX_N first binds at 2^17 and MAX_E and
+# MAX_T at 2^18.
+MAX_N = 16
+MAX_E = 8
+MAX_T = 8
 
 # Non-basis elements per table that are re-evaluated directly, and the seed
 # that picks them.
@@ -48,11 +56,10 @@ COUNTS = ("dickson_matrices", "eliminations", "tables", "direct_evaluations",
           "lifts", "log_tables")
 
 
-def _require_capacity(ctx: FieldCtx, max_order: int | None):
-    cap = MAX_EXHAUSTIVE_ORDER if max_order is None else max_order
-    if ctx.order > cap:
-        raise CapacityError(
-            f"field order {ctx.order} exceeds the exhaustive cap {cap}")
+def _require_capacity(ctx: FieldCtx):
+    if ctx.order > MAX_EXHAUSTIVE_ORDER:
+        raise CapacityError(f"field order {ctx.order} exceeds the exhaustive "
+                            f"cap {MAX_EXHAUSTIVE_ORDER}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -95,13 +102,13 @@ def _images(L: LinearizedPoly, mismatches: list | None = None) -> list[int]:
     return img
 
 
-def brute_is_permutation(L: LinearizedPoly, max_order: int | None = None) -> bool:
+def brute_is_permutation(L: LinearizedPoly) -> bool:
     """Exhaustive bijectivity check.
 
     Computes both the image-set size and the kernel triviality count; the
     two must agree by linearity, and their agreement is asserted.
     """
-    _require_capacity(L.ctx, max_order)
+    _require_capacity(L.ctx)
     img = _images(L)
     image_full = len(set(img)) == L.ctx.order
     kernel_trivial = img.count(0) == 1
@@ -110,19 +117,18 @@ def brute_is_permutation(L: LinearizedPoly, max_order: int | None = None) -> boo
     return image_full
 
 
-def verify_inverse(L: LinearizedPoly, M: LinearizedPoly,
-                   max_order: int | None = None) -> bool:
+def verify_inverse(L: LinearizedPoly, M: LinearizedPoly) -> bool:
     """True iff L(M(x)) = x = M(L(x)) for every field element x."""
-    _require_capacity(L.ctx, max_order)
+    _require_capacity(L.ctx)
     img_l = _images(L)
     img_m = _images(M)
     return all(img_m[img_l[i]] == i and img_l[img_m[i]] == i
                for i in range(L.ctx.order))
 
 
-def brute_inverse_table(L: LinearizedPoly, max_order: int | None = None) -> list[int]:
+def brute_inverse_table(L: LinearizedPoly) -> list[int]:
     """Table T with T[enc(L(x))] = enc(x); requires a permutation."""
-    _require_capacity(L.ctx, max_order)
+    _require_capacity(L.ctx)
     img = _images(L)
     order = L.ctx.order
     if len(set(img)) != order:
@@ -143,26 +149,19 @@ def _embedding_table(small: FieldCtx, big: FieldCtx) -> list[int]:
 class SweepConfig:
     """Bounds for the cross-validation grid.
 
-    ``max_field_order`` caps p^(e*n) for exhaustive checks and may not
-    exceed the module safety cap; the structural bounds cut off the (e, n, t)
-    enumeration, which the order cap usually bounds first anyway.  Every
-    entry of ``primes`` must be a prime no larger than ``MAX_PRIME``.
+    ``max_field_order`` caps p^(e*n) for exhaustive checks, lifted fields
+    included, and may not exceed the module safety cap; the module constants
+    ``MAX_E``, ``MAX_N`` and ``MAX_T`` bound e, n and the lift factor t.
+    Every entry of ``primes`` must be a prime no larger than ``MAX_PRIME``.
     """
 
     max_field_order: int = 729
     primes: tuple[int, ...] = (2, 3, 5)
-    max_n: int = 16
-    max_e: int = 8
-    max_t: int = 8
-    include_lift: bool = True
 
     def __post_init__(self):
         if not 1 <= self.max_field_order <= MAX_EXHAUSTIVE_ORDER:
             raise ValueError(
                 f"max_field_order must lie in [1, {MAX_EXHAUSTIVE_ORDER}]")
-        for name in ("max_n", "max_e", "max_t"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
         object.__setattr__(self, "primes", tuple(self.primes))
         for p in self.primes:
             check_characteristic(p)
@@ -206,18 +205,16 @@ class SweepReport:
     def failures_for(self, check: str) -> list[SweepFailure]:
         return [f for f in self.failures if f.check == check]
 
-    def summary_lines(self) -> list[str]:
-        return [
+    def format(self) -> str:
+        """One line per failure, then the counts and the failure total."""
+        lines = [f.line() for f in self.failures]
+        lines += [
             f"cases: {self.cases}",
             f"permutation_cases: {self.permutation_cases}",
             f"cofactor_checks: {self.cofactor_checks}",
             f"lift_checks: {self.lift_checks}",
             f"failures: {len(self.failures)}",
         ]
-
-    def format(self) -> str:
-        lines = [f.line() for f in self.failures]
-        lines.extend(self.summary_lines())
         return "\n".join(lines)
 
 
@@ -240,10 +237,10 @@ class _Timer:
 def _grid(cfg: SweepConfig):
     """(p, e, n) triples in lexicographic order within the bounds."""
     for p in sorted(set(cfg.primes)):
-        for e in range(1, cfg.max_e + 1):
+        for e in range(1, MAX_E + 1):
             if p ** (2 * e) > cfg.max_field_order:
                 break
-            for n in range(2, cfg.max_n + 1):
+            for n in range(2, MAX_N + 1):
                 if p ** (e * n) > cfg.max_field_order:
                     break
                 yield p, e, n
@@ -306,12 +303,10 @@ def sweep(cfg: SweepConfig) -> SweepReport:
         if not ctx.has_log_tables:
             untabled.add(ctx)
         identity = LinearizedPoly.identity(ctx)
-        lift_ts = []
-        if cfg.include_lift:
-            lift_ts = [
-                t for t in range(1, cfg.max_t + 1)
-                if math.gcd(t, n) == 1 and p ** (e * n * t) <= cfg.max_field_order
-            ]
+        lift_ts = [
+            t for t in range(1, MAX_T + 1)
+            if math.gcd(t, n) == 1 and p ** (e * n * t) <= cfg.max_field_order
+        ]
         for r in range(1, n):
             for enc_a in range(ctx.order):
                 report.cases += 1

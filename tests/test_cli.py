@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from linperm import ffield
+from linperm import cli, ffield
 from linperm.cli import main
 
 
@@ -122,6 +122,27 @@ class TestLift:
                            "--r", "1", "--a", "4", "--t", "2")
         assert code == 1 and "coprime" in err
 
+    def test_zero_t_names_t(self, capsys):
+        code, out, err = run(capsys, "lift", "--p", "3", "--e", "1", "--n", "2",
+                             "--r", "1", "--a", "4", "--t", "0")
+        assert code == 1 and out == ""
+        assert err.strip() == "error: t=0 must be a positive integer"
+
+    def test_bad_t_is_rejected_before_the_big_field(self, capsys, monkeypatch):
+        # GF(3^200) would be built first, at a cost growing with t
+        built = []
+        real = cli.field_ctx
+
+        def field_ctx(p, e, n):
+            built.append((p, e, n))
+            return real(p, e, n)
+
+        monkeypatch.setattr(cli, "field_ctx", field_ctx)
+        code, _, err = run(capsys, "lift", "--p", "3", "--e", "1", "--n", "2",
+                           "--r", "1", "--a", "4", "--t", "100")
+        assert code == 1 and "coprime" in err
+        assert built == [(3, 1, 2)]
+
 
 class TestVerify:
     def test_clean_sweep(self, capsys):
@@ -177,6 +198,16 @@ class TestVerify:
     def test_cap_enforced(self, capsys):
         code, _, err = run(capsys, "verify", "--max-order", "2000000")
         assert code == 1 and "max_field_order" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--max-order", "729", "--primes", ","],
+        ["--max-order", "3"],
+    ])
+    def test_empty_grid_is_an_error(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: nothing to verify")
 
 
 class TestBench:

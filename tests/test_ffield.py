@@ -191,15 +191,6 @@ class TestContext:
         with pytest.raises(ValueError):
             FieldCtx(2147483659, 1, 1)  # prime, but beyond the word-size bound
 
-    def test_custom_modulus_validation(self):
-        FieldCtx(2, 1, 3, modulus=(1, 1, 0, 1))
-        with pytest.raises(ValueError):
-            FieldCtx(2, 1, 3, modulus=(1, 0, 0, 1))  # (x+1)(x^2+x+1)
-        with pytest.raises(ValueError):
-            FieldCtx(2, 1, 3, modulus=(1, 1, 1))  # wrong degree
-        with pytest.raises(ValueError):
-            FieldCtx(3, 1, 2, modulus=(1, 0, 2))  # not monic
-
     def test_encoding_round_trip(self, f9):
         for enc in range(9):
             assert f9.from_int(enc).to_int() == enc
@@ -332,7 +323,7 @@ class TestEmbedding:
 
     def test_root_of_small_modulus(self, f9, f729):
         u = embed_subfield(f9.gen(), f729)
-        assert (u * u + f729.one).is_zero()
+        assert not u * u + f729.one
 
     def test_tower_independent(self, f9, f729):
         flat = field_ctx(3, 1, 6)
@@ -395,7 +386,7 @@ class TestEmbedding:
         acc = bctx.zero
         for c in reversed(sctx.modulus):
             acc = acc * u + bctx.from_int(c)
-        assert acc.is_zero()
+        assert not acc
         conjugates = {u.frobenius(k).to_int() for k in range(sctx.m)}
         assert len(conjugates) == sctx.m
         assert u.to_int() == min(conjugates)
@@ -415,7 +406,7 @@ def sweep_contexts(cap):
     out = set()
     for p, e, n in oracle._grid(cfg):
         out.add((p, e, n))
-        for t in range(2, cfg.max_t + 1):
+        for t in range(2, oracle.MAX_T + 1):
             if math.gcd(t, n) == 1 and p ** (e * n * t) <= cap:
                 out.add((p, e * t, n))
     return sorted(out)

@@ -2,7 +2,7 @@
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linperm import _kernel as kernel
@@ -38,6 +38,7 @@ def kernel_case(draw):
 
 
 @given(case=kernel_case())
+@example(case=(2**31 - 1, [5, 1], [2**31 - 2], [2**30], [0]))  # m = 1
 @settings(max_examples=150, deadline=None)
 def test_mulmod_matches_naive_reference(case):
     p, mod, a, b, _ = case

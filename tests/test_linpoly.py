@@ -87,7 +87,7 @@ class TestCompose:
 class TestDicksonMatrix:
     def test_diagonal_for_scaling(self, f9):
         c = f9.from_int(4)
-        D = LinearizedPoly.monomial(f9, 0, c).dickson_matrix()
+        D = LinearizedPoly(f9, [c, f9.zero]).dickson_matrix()
         assert encs(D) == [[4, 0], [0, c.frobenius(1).to_int()]]
 
     def test_worked_matrix(self, L):
@@ -198,8 +198,8 @@ class TestPermutationCriterion:
 class TestInverseDickson:
     def test_scaling(self, f9):
         c = f9.from_int(4)
-        L = LinearizedPoly.monomial(f9, 0, c)
-        assert inverse_dickson(L) == LinearizedPoly.monomial(f9, 0, c.inv())
+        L = LinearizedPoly(f9, [c, f9.zero])
+        assert inverse_dickson(L) == LinearizedPoly(f9, [c.inv(), f9.zero])
 
     def test_frobenius_shift(self):
         ctx = field_ctx(2, 1, 5)

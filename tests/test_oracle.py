@@ -31,10 +31,29 @@ class TestBruteForce:
         assert brute_is_permutation(L)
         assert not brute_is_permutation(LinearizedPoly.zero(f9))
 
-    def test_capacity_cap(self, f9, L):
-        with pytest.raises(CapacityError):
-            brute_is_permutation(L, max_order=8)
-        assert brute_is_permutation(L, max_order=9)
+    def test_capacity_cap(self, monkeypatch, f9, L, M):
+        # GF(2^20) has 1,048,576 elements, just above the cap; each check
+        # refuses it before building a table
+        big = field_ctx(2, 1, 20)
+        assert big.order > MAX_EXHAUSTIVE_ORDER
+        ident = LinearizedPoly.identity(big)
+        tables = []
+        real = _kernel.eval_all
+
+        def eval_all(*args):
+            tables.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(_kernel, "eval_all", eval_all)
+        for check in (brute_is_permutation, brute_inverse_table,
+                      lambda poly: verify_inverse(poly, poly)):
+            with pytest.raises(CapacityError, match="1048576"):
+                check(ident)
+        assert not tables
+        assert brute_is_permutation(L)
+        assert len(brute_inverse_table(L)) == f9.order
+        assert verify_inverse(L, M)
+        assert tables
 
     def test_default_cap_value(self):
         assert MAX_EXHAUSTIVE_ORDER == 1_000_000
@@ -61,7 +80,7 @@ class TestInverseTable:
 
     def test_scaling(self, f9):
         c = f9.from_int(4)
-        table = brute_inverse_table(LinearizedPoly.monomial(f9, 0, c))
+        table = brute_inverse_table(LinearizedPoly(f9, [c, f9.zero]))
         cinv = c.inv()
         for y in f9.elements():
             assert table[y.to_int()] == (cinv * y).to_int()
@@ -82,8 +101,6 @@ class TestSweepConfig:
             SweepConfig(max_field_order=MAX_EXHAUSTIVE_ORDER + 1)
         with pytest.raises(ValueError):
             SweepConfig(max_field_order=0)
-        with pytest.raises(ValueError):
-            SweepConfig(max_n=0)
         # 2147483659 is prime but above ffield.MAX_PRIME
         assert ffield.is_prime(2147483659) and 2147483659 > ffield.MAX_PRIME
         for primes in [(4,), (1,), (2147483659,), (2, 0)]:
@@ -93,8 +110,7 @@ class TestSweepConfig:
 
 class TestSweep:
     def test_tiny_grid_counts(self):
-        report = sweep(SweepConfig(max_field_order=9, primes=(3,),
-                                   max_e=1, max_n=2))
+        report = sweep(SweepConfig(max_field_order=9, primes=(3,)))
         assert report.cases == 9  # nine values of a, r = 1 only
         assert report.ok and not report.failures
         # independent permutation count: a = 0 plus every a with a^4 != 1
@@ -104,6 +120,17 @@ class TestSweep:
             if is_permutation_binomial(BinomialSpec(ctx.from_int(enc), 1)))
         assert expected == 5
         assert report.permutation_cases == expected
+
+    def test_structural_bounds_bind_above_the_order_cap(self):
+        # below 2^17 the order cap alone bounds the grid; the constants keep
+        # n <= 16 at 2^17 and e <= 8 at 2^18, where the cap would admit more
+        assert (oracle.MAX_N, oracle.MAX_E, oracle.MAX_T) == (16, 8, 8)
+        ns = [n for _, _, n in oracle._grid(
+            SweepConfig(max_field_order=2**17, primes=(2,)))]
+        assert max(ns) == 16
+        es = [e for _, e, _ in oracle._grid(
+            SweepConfig(max_field_order=2**18, primes=(2,)))]
+        assert max(es) == 8
 
     def test_empty_prime_list(self):
         report = sweep(SweepConfig(primes=()))
@@ -155,9 +182,11 @@ class TestSweep:
     def test_report_format(self):
         report = sweep(SweepConfig(max_field_order=9, primes=(3,)))
         text = report.format()
-        assert "cases: 9" in text
-        assert "failures: 0" in text
-        assert report.summary_lines()[-1] == "failures: 0"
+        # 3 checks (cof0, cof1, det) for each of the 8 nonzero a; each of
+        # the 5 permutations lifts once, with t = 1
+        assert text.splitlines() == [
+            "cases: 9", "permutation_cases: 5", "cofactor_checks: 24",
+            "lift_checks: 5", "failures: 0"]
 
     def test_small_grid_is_clean(self):
         report = sweep(SweepConfig(max_field_order=64, primes=(2, 3, 5)))
@@ -205,8 +234,7 @@ class TestDirectCheck:
             brute_is_permutation(L)
 
     def test_corrupted_entry_is_a_criterion_failure(self, corrupt_tables):
-        report = sweep(SweepConfig(max_field_order=9, primes=(3,),
-                                   max_e=1, max_n=2))
+        report = sweep(SweepConfig(max_field_order=9, primes=(3,)))
         assert report.cases == 9  # the sweep ran to the end
         assert not report.ok
         criterion = report.failures_for(CHECK_CRITERION)
@@ -230,8 +258,7 @@ class TestKernelCount:
             return img
 
         monkeypatch.setattr(oracle, "_images", images)
-        report = sweep(SweepConfig(max_field_order=9, primes=(3,),
-                                   max_e=1, max_n=2))
+        report = sweep(SweepConfig(max_field_order=9, primes=(3,)))
         assert report.cases == 9  # the sweep ran to the end
         assert report.permutation_cases == 5
         assert [f.check for f in report.failures] == [CHECK_CRITERION] * 4
@@ -273,7 +300,7 @@ def break_root_check(monkeypatch):
     monkeypatch.setattr(ffield, "_embedding_powers", faulty)
 
 
-GF9_GRID = SweepConfig(max_field_order=9, primes=(3,), max_e=1, max_n=2)
+GF9_GRID = SweepConfig(max_field_order=9, primes=(3,))
 
 
 class TestBrokenInvariants:
