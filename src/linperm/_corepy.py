@@ -1,12 +1,74 @@
 """Pure-Python arithmetic kernels over GF(p), the package's only backend.
 
 A coefficient vector is a sequence of ints in ``[0, p)``, little-endian in
-the power basis; ``mod`` is the monic modulus of length ``m + 1``.  Every
-function returns fresh lists and never mutates its arguments.  Other modules
-call these through ``_kernel``.
+the power basis; vector results are fresh lists.  Other modules call these
+through ``_kernel``.  Products and linear maps run on packed ints
+(Kronecker substitution): v is sum(v[i] * 256^(w*i)), with w bytes a slot
+and 256^w > m(p-1)^2 + p for a modulus of degree m, so no slot of a product
+or of a sum of m scaled columns carries into the next.
 """
 
+from operator import mul
+
 BACKEND = "python"
+
+
+class Packing:
+    """Slot width and ``fold[k]`` = packed x^(m+k) mod ``mod``, k < m - 1,
+    for the monic ``mod`` of degree m; built once per field modulus."""
+
+    __slots__ = ("p", "m", "mod", "width", "fold", "_residues")
+
+    def __init__(self, mod, p):
+        m = len(mod) - 1
+        self.p, self.m, self.mod = p, m, tuple(mod)
+        self.width = _width(m * (p - 1) ** 2 + p)
+        # bytes.translate table reducing one-byte slots mod p
+        self._residues = bytes(c % p for c in range(256)) if p < 256 else None
+        fold = []
+        t = [-c % p for c in mod[:m]]
+        for _ in range(m - 1):
+            fold.append(_pack(t, self.width))
+            top = t[-1]
+            t = [0] + t[:-1]
+            if top:
+                t = [(u - top * c) % p for u, c in zip(t, mod)]
+        self.fold = tuple(fold)
+
+
+def _width(bound):
+    """Bytes per slot for slot values up to ``bound``."""
+    return (bound.bit_length() + 7) // 8
+
+
+def _pack(v, width):
+    """The packed int of the vector ``v`` with ``width``-byte slots."""
+    if width == 1:
+        return int.from_bytes(bytes(v), "little")
+    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in v]),
+                          "little")
+
+
+def _unpack(x, n, width, pk):
+    """The n ``width``-byte slots of ``x``, mod ``pk.p``."""
+    raw = x.to_bytes(n * width, "little")
+    if width == 1:
+        return list(raw.translate(pk._residues))
+    p = pk.p
+    return [int.from_bytes(raw[i:i + width], "little") % p
+            for i in range(0, n * width, width)]
+
+
+def unpack(x, pk):
+    """The length-m vector of the packed int ``x``."""
+    return _unpack(x, pk.m, pk.width, pk)
+
+
+def _reduce(digits, pk):
+    """The residue of the polynomial with the 2m - 1 reduced ``digits``."""
+    m, w = pk.m, pk.width
+    acc = sum(map(mul, digits[m:], pk.fold), _pack(digits[:m], w))
+    return _unpack(acc, m, w, pk)
 
 
 def addmod(a, b, p):
@@ -21,42 +83,40 @@ def negmod(a, p):
     return [-x % p for x in a]
 
 
-def mulmod(a, b, mod, p):
-    """Product of two length-m vectors, reduced by the monic ``mod``.
-
-    Schoolbook product, then reduction from the top degree down; for m = 1
-    the product has one entry and there is nothing to reduce.
-    """
-    m = len(mod) - 1
-    prod = [0] * (2 * m - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # fold x^k = -sum(mod[j] x^(k-m+j)) for k from the top down
-    for k in range(2 * m - 2, m - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            off = k - m
-            for j in range(m):
-                mj = mod[j]
-                if mj:
-                    prod[off + j] = (prod[off + j] - c * mj) % p
-    return prod[:m]
+def mulmod(a, b, pk):
+    """Product of two length-m vectors modulo ``pk.mod``."""
+    w = pk.width
+    prod = _pack(a, w) * _pack(b, w)
+    return _reduce(_unpack(prod, 2 * pk.m - 1, w, pk), pk)
 
 
-def matvec(mat, v, p):
-    """Apply the flat row-major m*m matrix ``mat`` to ``v``, entries mod p."""
-    m = len(v)
-    out = [0] * m
-    for i in range(m):
-        base = i * m
-        acc = 0
-        for j in range(m):
-            acc += mat[base + j] * v[j]
-        out[i] = acc % p
-    return out
+def matvec(cols, v, pk):
+    """Apply the linear map with packed columns ``cols`` to ``v``."""
+    return unpack(sum(map(mul, v, cols)), pk)
+
+
+def pack_cols(vectors, pk):
+    """Packed columns of the linear map taking basis vector j to
+    ``vectors[j]``."""
+    return tuple(_pack(v, pk.width) for v in vectors)
+
+
+def identity_cols(pk):
+    """Packed columns of the identity map."""
+    return tuple(1 << (8 * pk.width * j) for j in range(pk.m))
+
+
+def next_frobenius_cols(prev, xp, pk):
+    """Packed columns of x -> x^(p^k) from those of x -> x^(p^(k-1)), given
+    the vector x^p.  Column j is column j*p of ``prev`` while j*p < m (the
+    same int); the rest follow by multiplying by x^(p^k) = prev(x^p)."""
+    xk = matvec(prev, xp, pk)
+    cols = list(prev[::pk.p])
+    img = unpack(cols[-1], pk)
+    while len(cols) < pk.m:
+        img = mulmod(img, xk, pk)
+        cols.append(_pack(img, pk.width))
+    return tuple(cols)
 
 
 def _translate(shift, p):
@@ -69,30 +129,30 @@ def _translate(shift, p):
     return row
 
 
-def eval_all(coeff_rows, frob_mats, mod, p):
+def eval_all(coeff_rows, frob_maps, pk):
     """Evaluate sum_i c_i * F_i(x) at every element of GF(p^m).
 
-    ``coeff_rows[i]`` is the coefficient vector c_i and ``frob_mats[i]`` the
-    flat matrix of the Frobenius power attached to term i.  Elements are
+    ``coeff_rows[i]`` is the coefficient vector c_i and ``frob_maps[i]`` the
+    packed columns of the Frobenius power attached to term i.  Elements are
     enumerated in encoding order; entry enc(x) of the result is enc(value).
 
     The map is GF(p)-linear, so it is evaluated directly only on the m basis
-    vectors; the table is then filled digit by digit through
+    vectors, sum_i c_i * (column k of F_i), packed in slots wide enough for
+    all terms and reduced once.  The table is then filled digit by digit by
     img[j + c*p^k] = img[j + (c-1)*p^k] + col_k, where col_k is the image of
     the k-th basis vector.  For p = 2 the addition is one XOR per entry; for
     odd p each entry is split into a low and a high half of its digits, and
     the translation by col_k is read off one precomputed row per half.
     """
-    m = len(mod) - 1
-    terms = list(zip(coeff_rows, frob_mats))
+    m, p = pk.m, pk.p
+    w = _width(len(coeff_rows) * m * (p - 1) ** 2 + p)
+    rows = [_pack(row, w) for row in coeff_rows]
+    maps = [[_pack(unpack(c, pk), w) for c in cols]
+            for cols in frob_maps]
     cols = []
     for k in range(m):
-        # F_i applied to the k-th basis vector is column k of its matrix
-        acc = [0] * m
-        for row, fm in terms:
-            t = mulmod(row, list(fm[k::m]), mod, p)
-            acc = [(u + v) % p for u, v in zip(acc, t)]
-        cols.append(acc)
+        acc = sum(row * fm[k] for row, fm in zip(rows, maps))
+        cols.append(_reduce(_unpack(acc, 2 * m - 1, w, pk), pk))
     out = [0]
     if p == 2:
         for col in cols:

@@ -104,8 +104,8 @@ def inverse_binomial(spec: BinomialSpec) -> LinearizedPoly:
 
     For a = 0 the binomial degenerates to the monomial x^(q^r), whose
     inverse is x^(q^(n-r)).  Otherwise slot (i*r mod n) receives
-    front * (-1)^i * (1/a)^(1 + q^r + ... + q^(i*r)) built incrementally,
-    with front = N(a) / (N(a) + (-1)^(n/d - 1)).
+    front * (-1)^i * (1/a)^(1 + q^r + ... + q^(i*r)) built incrementally
+    from front / a, with front = N(a) / (N(a) + (-1)^(n/d - 1)).
     """
     ctx = spec.ctx
     n, e, r, d = ctx.n, ctx.e, spec.r, spec.d
@@ -121,13 +121,12 @@ def inverse_binomial(spec: BinomialSpec) -> LinearizedPoly:
     front = nor * denominator.inv()
     ainv = spec.a.inv()
     coeffs = [ctx.zero] * n
-    g = ainv
+    term = front * ainv
     y = ainv
     for i in range(nd):
         if i:
             y = y.frobenius(e * r)
-            g = g * y
-        term = front * g
+            term = term * y
         coeffs[(i * r) % n] = term if i % 2 == 0 else -term
     return LinearizedPoly(ctx, coeffs)
 

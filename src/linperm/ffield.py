@@ -8,8 +8,8 @@ m over GF(p); the integer encoding enc(x) = sum(coeffs[i] * p**i) is a
 bijection onto range(p**m) and is the text form used at every interface.
 
 The q-power Frobenius is the e-fold p-power Frobenius, so one basis carries
-the whole tower.  Relative norms are products of Frobenius images, so no
-big-integer exponent is ever formed on the main arithmetic paths.
+the whole tower.  Relative norms are doubling chains of Frobenius images
+and products, so no big-integer exponent is ever formed on the main paths.
 
 How products, inverses, powers and Frobenius images are computed depends on
 the field order alone.  A context of at most ``LOG_TABLE_MAX_ORDER``
@@ -17,11 +17,11 @@ elements builds, on its first multiplicative operation, an antilog table
 of the powers of its smallest-encoding primitive element g and the inverse
 log table; then x*y = g^(log x + log y), 1/x = g^(-log x),
 x^k = g^(k log x) and x^(p^k) = g^(p^k log x), exponents mod order - 1.
-A larger context never builds tables: products are polynomial products
-reduced by the modulus, inverses come from the extended Euclidean
-algorithm, powers from square-and-multiply, and Frobenius maps are applied
-as cached GF(p)-linear matrices.  Elements are coefficient tuples either
-way, and addition, subtraction and negation are always coordinatewise.
+A larger context never builds tables: products and Frobenius maps, each
+cached as its m packed columns, run on the packed-integer kernels with the
+context's ``packing``; inverses come from the extended Euclidean algorithm
+and powers from square-and-multiply.  Elements are coefficient tuples
+either way, and addition, subtraction and negation are coordinatewise.
 """
 
 from __future__ import annotations
@@ -162,18 +162,17 @@ def _poly_invmod(a, modulus, p):
     return inv
 
 
-def _pow_vec(vec, exponent, modulus, p):
-    """Square-and-multiply power of a residue vector mod ``modulus``."""
-    m = len(modulus) - 1
-    result = [1] + [0] * (m - 1)
+def _pow_vec(vec, exponent, mul):
+    """Square-and-multiply power of a residue vector under ``mul(a, b)``."""
+    result = [1] + [0] * (len(vec) - 1)
     base = list(vec)
     k = exponent
     while k:
         if k & 1:
-            result = _kernel.mulmod(result, base, modulus, p)
+            result = mul(result, base)
         k >>= 1
         if k:
-            base = _kernel.mulmod(base, base, modulus, p)
+            base = mul(base, base)
     return result
 
 
@@ -187,7 +186,7 @@ def _is_irreducible(f, p: int) -> bool:
     f of degree m is irreducible exactly when it has no factor of degree
     j <= m/2, that is when gcd(x^(p^j) - x, f) = 1 for every such j; the
     powers x^(p^j) mod f are iterated by p-th powering, so the cost is
-    polynomial in m and log p.
+    polynomial in m and log p.  A candidate gets no kernel ``Packing``.
     """
     m = len(f) - 1
     if m == 1:
@@ -197,7 +196,7 @@ def _is_irreducible(f, p: int) -> bool:
     x_vec = [0, 1] + [0] * (m - 2)
     t = list(x_vec)
     for _ in range(m // 2):
-        t = _pow_vec(t, p, f, p)
+        t = _pow_vec(t, p, lambda a, b: _pdivmod(_pmul(a, b, p), f, p)[1])
         diff = _psub(t, x_vec, p)
         if len(_pgcd(f, diff, p)) != 1:
             return False
@@ -248,15 +247,15 @@ class FieldCtx:
     contexts compare equal when (p, e, n) agree; equal contexts are
     interchangeable.  Everything derived is built lazily and cached on
     the context, so sharing one context across many operations is cheap and
-    thread-safe in the memoized-recompute sense: Frobenius matrices per
-    power, and, when ``order <= LOG_TABLE_MAX_ORDER``, the log and antilog
-    tables, built by the first product, inverse, power or Frobenius image
-    taken in the context (see :meth:`_log_tables`).  Creating a
+    thread-safe in the memoized-recompute sense: the packed columns of each
+    Frobenius power, and, when ``order <= LOG_TABLE_MAX_ORDER``, the log and
+    antilog tables, built by the first product, inverse, power or Frobenius
+    image taken in the context (see :meth:`_log_tables`).  Creating a
     context, converting encodings and adding never build them.
     """
 
-    __slots__ = ("p", "e", "n", "m", "q", "order", "modulus", "_frob",
-                 "_log", "_exp")
+    __slots__ = ("p", "e", "n", "m", "q", "order", "modulus", "packing",
+                 "_frob", "_log", "_exp")
 
     def __init__(self, p: int, e: int, n: int):
         check_characteristic(p)
@@ -272,6 +271,7 @@ class FieldCtx:
         self.q = p**e
         self.order = p**m
         self.modulus = find_irreducible(p, m)
+        self.packing = _kernel.Packing(self.modulus, p)
         self._frob = {}
         self._log = None
         self._exp = None
@@ -336,19 +336,19 @@ class FieldCtx:
         """
         if self._log is not None or self.order > LOG_TABLE_MAX_ORDER:
             return self._log
-        m, p, mod = self.m, self.p, self.modulus
+        m, p = self.m, self.p
         units = self.order - 1
         one = (1,) + (0,) * (m - 1)
         factors = [l for l in range(2, units + 1)
                    if units % l == 0 and is_prime(l)]
         for enc in range(1, self.order):
             g = int_to_coeffs(enc, m, p)
-            if all(tuple(_pow_vec(g, units // l, mod, p)) != one
+            if all(tuple(_pow_vec(g, units // l, self._mulvec)) != one
                    for l in factors):
                 break
         exp = [one]
         for _ in range(units - 1):
-            exp.append(tuple(_kernel.mulmod(g, exp[-1], mod, p)))
+            exp.append(tuple(_kernel.mulmod(g, exp[-1], self.packing)))
         log = {v: i for i, v in enumerate(exp)}
         if len(log) != units:
             raise AssertionError(
@@ -358,33 +358,26 @@ class FieldCtx:
         self._log = log
         return log
 
-    def _frob_flat(self, k: int):
-        """Flat m*m matrix of x -> x^(p^k) on the power basis, cached."""
+    def _mulvec(self, a, b):
+        """Product of two coefficient vectors in this field, as a list."""
+        return _kernel.mulmod(a, b, self.packing)
+
+    def _frobenius_map(self, k: int) -> tuple:
+        """Packed columns (x^j)^(p^k), j < m, of x -> x^(p^k); cached.
+        Built from map k - 1 and x^p, which is column 1 of map 1."""
         k %= self.m
-        cached = self._frob.get(k)
-        if cached is not None:
-            return cached
-        m, p, mod = self.m, self.p, self.modulus
-        if k == 0 or m == 1:
-            flat = tuple(1 if i == j else 0 for i in range(m) for j in range(m))
-        elif k == 1:
-            xp = _pow_vec([0, 1] + [0] * (m - 2), p, mod, p)
-            img = [1] + [0] * (m - 1)
-            cols = [list(img)]
-            for _ in range(m - 1):
-                img = _kernel.mulmod(img, xp, mod, p)
-                cols.append(img)
-            flat = tuple(cols[j][i] for i in range(m) for j in range(m))
-        else:
-            prev = self._frob_flat(k - 1)
-            step = self._frob_flat(1)
-            cols = []
-            for j in range(m):
-                col = [prev[i * m + j] for i in range(m)]
-                cols.append(_kernel.matvec(step, col, p))
-            flat = tuple(cols[j][i] for i in range(m) for j in range(m))
-        self._frob[k] = flat
-        return flat
+        cols = self._frob.get(k)
+        if cols is None:
+            pk = self.packing
+            if k == 0:
+                cols = _kernel.identity_cols(pk)
+            else:
+                xp = (_kernel.unpack(self._frobenius_map(1)[1], pk) if k > 1
+                      else _pow_vec(self.gen().coeffs, self.p, self._mulvec))
+                cols = _kernel.next_frobenius_cols(
+                    self._frobenius_map(k - 1), xp, pk)
+            self._frob[k] = cols
+        return cols
 
 
 @functools.lru_cache(maxsize=None)
@@ -430,7 +423,7 @@ class FieldElem:
         log = ctx._log or ctx._log_tables()
         if log is None:
             return FieldElem(ctx, tuple(_kernel.mulmod(
-                self.coeffs, other.coeffs, ctx.modulus, ctx.p)))
+                self.coeffs, other.coeffs, ctx.packing)))
         la = log.get(self.coeffs)
         lb = log.get(other.coeffs)
         if la is None or lb is None:
@@ -450,7 +443,7 @@ class FieldElem:
         log = ctx._log or ctx._log_tables()
         if log is None:
             return FieldElem(ctx, tuple(_pow_vec(
-                self.coeffs, exponent, ctx.modulus, ctx.p)))
+                self.coeffs, exponent, ctx._mulvec)))
         lx = log.get(self.coeffs)
         if lx is None:
             return ctx.one if exponent == 0 else ctx.zero
@@ -474,9 +467,8 @@ class FieldElem:
         ctx = self.ctx
         log = ctx._log or ctx._log_tables()
         if log is None:
-            flat = ctx._frob_flat(k)
-            return FieldElem(ctx, tuple(
-                _kernel.matvec(flat, self.coeffs, ctx.p)))
+            return FieldElem(ctx, tuple(_kernel.matvec(
+                ctx._frobenius_map(k), self.coeffs, ctx.packing)))
         lx = log.get(self.coeffs)
         if lx is None:
             return self
@@ -486,17 +478,23 @@ class FieldElem:
     def norm_rel(self, d: int) -> "FieldElem":
         """Relative norm onto GF(q^d): the product of the q^d-conjugates.
 
-        Equals x^((q^n-1)/(q^d-1)) for nonzero x, but is computed as a chain
-        of n/d - 1 Frobenius-and-multiply steps.
+        Equals x^((q^n-1)/(q^d-1)) for nonzero x.  The product P(j) of the
+        first j conjugates follows the bits of n/d by P(2j) = P(j) P(j)^(Q^j)
+        and P(j+1) = x P(j)^Q, Q = q^d (Itoh-Tsujii): about 2 log2(n/d)
+        Frobenius-and-multiply steps.
         """
         ctx = self.ctx
         if d < 1 or ctx.n % d:
             raise ValueError(f"d={d} does not divide n={ctx.n}")
+        step = ctx.e * d
         acc = self
-        y = self
-        for _ in range(ctx.n // d - 1):
-            y = y.frobenius(ctx.e * d)
-            acc = acc * y
+        j = 1
+        for bit in bin(ctx.n // d)[3:]:
+            acc = acc * acc.frobenius(step * j)
+            j *= 2
+            if bit == "1":
+                acc = self * acc.frobenius(step)
+                j += 1
         return acc
 
     def to_int(self) -> int:
@@ -540,7 +538,7 @@ def _eadd(a, b, p):
                   + [list(c) for c in a[len(b):]])
 
 
-def _edivmod(a, b, mod, p):
+def _edivmod(a, b, pk):
     """Quotient and remainder of ``a`` by the monic ``b`` over GF(p^M)."""
     a = list(a)
     db = len(b) - 1
@@ -554,36 +552,38 @@ def _edivmod(a, b, mod, p):
             for j in range(db):
                 if any(b[j]):
                     a[k - db + j] = _kernel.submod(
-                        a[k - db + j], _kernel.mulmod(b[j], c, mod, p), p)
+                        a[k - db + j], _kernel.mulmod(b[j], c, pk), pk.p)
     return _etrim(q), _etrim(a[:db])
 
 
-def _emulmod(a, b, g, mod, p):
+def _emulmod(a, b, g, pk):
     """Product of ``a`` and ``b`` over GF(p^M), reduced by the monic ``g``."""
     if not a or not b:
         return []
-    out = [[0] * (len(mod) - 1) for _ in range(len(a) + len(b) - 1)]
+    p = pk.p
+    out = [[0] * pk.m for _ in range(len(a) + len(b) - 1)]
     for i, ai in enumerate(a):
         if any(ai):
             for j, bj in enumerate(b):
                 if any(bj):
                     out[i + j] = _kernel.addmod(
-                        out[i + j], _kernel.mulmod(ai, bj, mod, p), p)
-    return _edivmod(out, g, mod, p)[1]
+                        out[i + j], _kernel.mulmod(ai, bj, pk), p)
+    return _edivmod(out, g, pk)[1]
 
 
-def _egcd(a, b, mod, p):
+def _egcd(a, b, pk):
     """Monic gcd over GF(p^M) of the monic ``a`` and ``b``."""
     while b:
-        lead_inv = _poly_invmod(b[-1], mod, p)
-        b = [_kernel.mulmod(c, lead_inv, mod, p) for c in b]
-        a, b = b, _edivmod(a, b, mod, p)[1]
+        lead_inv = _poly_invmod(b[-1], pk.mod, pk.p)
+        b = [_kernel.mulmod(c, lead_inv, pk) for c in b]
+        a, b = b, _edivmod(a, b, pk)[1]
     return a
 
 
-def _split_root(f, mod, p, rng):
-    """One root in GF(p^M) of the monic ``f`` over GF(p), which must split
-    there into distinct linear factors (Cantor-Zassenhaus).
+def _split_root(f, pk, rng):
+    """One root in GF(p^M), the field of the packing ``pk``, of the monic
+    ``f`` over GF(p), which must split there into distinct linear factors
+    (Cantor-Zassenhaus).
 
     Every root alpha of a factor g is sorted by a random shift delta: for
     odd p by the quadratic character (alpha + delta)^((p^M - 1)/2) = +-1,
@@ -592,7 +592,7 @@ def _split_root(f, mod, p, rng):
     roots fall on different sides, which happens with probability at least
     about one half; the smaller side is kept until it is linear.
     """
-    m = len(mod) - 1
+    m, p = pk.m, pk.p
     order = p**m
     one = [1] + [0] * (m - 1)
     g = [[c] + [0] * (m - 1) for c in f]
@@ -602,54 +602,52 @@ def _split_root(f, mod, p, rng):
             t = _etrim([[0] * m, delta])
             h = t
             for _ in range(m - 1):
-                t = _emulmod(t, t, g, mod, p)
+                t = _emulmod(t, t, g, pk)
                 h = _eadd(h, t, p)
         else:
             shift = [delta, one]
             h = [one]
             for bit in bin((order - 1) // 2)[2:]:
-                h = _emulmod(h, h, g, mod, p)
+                h = _emulmod(h, h, g, pk)
                 if bit == "1":
-                    h = _emulmod(h, shift, g, mod, p)
+                    h = _emulmod(h, shift, g, pk)
             h = _eadd(h, [[p - 1] + [0] * (m - 1)], p)
-        d = _egcd(g, h, mod, p)
+        d = _egcd(g, h, pk)
         if 1 < len(d) < len(g):
             if 2 * len(d) > len(g) + 1:
-                d = _edivmod(g, d, mod, p)[0]
+                d = _edivmod(g, d, pk)[0]
             g = d
     return _kernel.negmod(g[0], p)
 
 
 @functools.lru_cache(maxsize=None)
-def _embedding_powers(p, small_mod, big_mod):
-    """Images of the small generator's powers inside the big field.
+def _embedding_powers(small, big):
+    """Packed columns of the embedding: the images in ``big`` of the powers
+    of the small field's generator.
 
-    The small generator maps to the root of ``small_mod`` in the big field
+    The small generator maps to the root of the small modulus in ``big``
     with the smallest integer encoding.  One root u is found by
     Cantor-Zassenhaus splitting (:func:`_split_root`), at a cost polynomial
     in the degrees and log p.  The small modulus is irreducible over GF(p),
-    so its roots are exactly the conjugates u^(p^k), k < deg(small_mod);
-    their minimum is the minimal root whichever u the seeded search finds.
+    so its roots are exactly the conjugates u^(p^k), k < small.m; their
+    minimum is the minimal root whichever u the seeded search finds.
     """
-    m_big = len(big_mod) - 1
-    m_small = len(small_mod) - 1
-    root = _split_root(small_mod, big_mod, p, random.Random(EMBEDDING_SEED))
+    p, pk, small_mod = big.p, big.packing, small.modulus
+    root = _split_root(small_mod, pk, random.Random(EMBEDDING_SEED))
     conjugates = [root]
-    for _ in range(m_small - 1):
-        conjugates.append(_pow_vec(conjugates[-1], p, big_mod, p))
+    for _ in range(small.m - 1):
+        conjugates.append(_pow_vec(conjugates[-1], p, big._mulvec))
     u = min(conjugates, key=lambda v: coeffs_to_int(v, p))
-    acc = [1] + [0] * (m_big - 1)
+    acc = list(big.one.coeffs)
     for c in reversed(small_mod[:-1]):
-        acc = _kernel.mulmod(acc, u, big_mod, p)
+        acc = big._mulvec(acc, u)
         acc[0] = (acc[0] + c) % p
     if any(acc):
         raise AssertionError("embedded generator is not a root of the small modulus")
-    powers = [(1,) + (0,) * (m_big - 1)]
-    img = powers[0]
-    for _ in range(m_small - 1):
-        img = tuple(_kernel.mulmod(img, u, big_mod, p))
-        powers.append(img)
-    return tuple(powers)
+    powers = [big.one.coeffs]
+    for _ in range(small.m - 1):
+        powers.append(big._mulvec(powers[-1], u))
+    return _kernel.pack_cols(powers, pk)
 
 
 def embed_subfield(x: FieldElem, big: FieldCtx) -> FieldElem:
@@ -668,11 +666,5 @@ def embed_subfield(x: FieldElem, big: FieldCtx) -> FieldElem:
     if big.m % small.m:
         raise ValueError(
             f"degree {small.m} does not divide {big.m}; no embedding exists")
-    powers = _embedding_powers(small.p, small.modulus, big.modulus)
-    p = big.p
-    acc = [0] * big.m
-    for c, img in zip(x.coeffs, powers):
-        if c:
-            for i, v in enumerate(img):
-                acc[i] = (acc[i] + c * v) % p
-    return FieldElem(big, tuple(acc))
+    powers = _embedding_powers(small, big)
+    return FieldElem(big, tuple(_kernel.matvec(powers, x.coeffs, big.packing)))

@@ -127,18 +127,12 @@ class DicksonMatrix:
         self.ctx = ctx
         self.entries = entries
 
-    def entry(self, i: int, j: int) -> FieldElem:
-        return self.entries[i][j]
-
     def poly(self) -> LinearizedPoly:
         """The linearized polynomial whose coefficients are row 0."""
         return LinearizedPoly(self.ctx, self.entries[0])
 
     def det(self) -> FieldElem:
         return _eliminate(self.ctx, [list(r) for r in self.entries], False)
-
-    def inverse(self) -> "DicksonMatrix":
-        return self.det_and_inverse()[1]
 
     def det_and_inverse(self) -> tuple[FieldElem, "DicksonMatrix"]:
         """Gauss-Jordan on [D | I]; raises on a singular matrix."""

@@ -83,12 +83,12 @@ def _images(L: LinearizedPoly, mismatches: list | None = None) -> list[int]:
     """
     ctx = L.ctx
     rows = []
-    mats = []
+    maps = []
     for i, c in enumerate(L.coeffs):
         if c:
-            rows.append(list(c.coeffs))
-            mats.append(ctx._frob_flat((ctx.e * i) % ctx.m))
-    img = _kernel.eval_all(rows, mats, ctx.modulus, ctx.p)
+            rows.append(c.coeffs)
+            maps.append(ctx._frobenius_map(ctx.e * i))
+    img = _kernel.eval_all(rows, maps, ctx.packing)
     bad = []
     for enc, x in _direct_sample(ctx):
         direct = L.eval(x).to_int()

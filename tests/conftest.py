@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from linperm import field_ctx
+from linperm import field_ctx, oracle
 
 EXHAUSTIVE_FIELDS = [(2, 1, 2), (2, 1, 3), (2, 2, 2), (3, 1, 2), (3, 1, 3),
                      (5, 1, 2)]
@@ -15,3 +17,15 @@ def f9():
 @pytest.fixture(scope="session")
 def f729():
     return field_ctx(3, 3, 2)
+
+
+def sweep_contexts(cap):
+    """Every context a sweep up to ``cap`` touches, lift targets included."""
+    cfg = oracle.SweepConfig(max_field_order=cap)
+    out = set()
+    for p, e, n in oracle._grid(cfg):
+        out.add((p, e, n))
+        for t in range(2, oracle.MAX_T + 1):
+            if math.gcd(t, n) == 1 and p ** (e * n * t) <= cap:
+                out.add((p, e * t, n))
+    return sorted(out)

@@ -1,6 +1,5 @@
 """Field construction, arithmetic laws, Frobenius, norms, and embeddings."""
 
-import math
 import random
 
 import pytest
@@ -8,11 +7,11 @@ import pytest
 from linperm import (BinomialSpec, ContextMismatchError, FieldCtx,
                      embed_subfield, field_ctx, find_irreducible, lift)
 from linperm import _kernel, ffield, oracle
-from linperm.ffield import (_binomials_reducible, _is_irreducible, _pgcd,
-                            _poly_invmod, _pow_vec, _psub, coeffs_to_int,
-                            int_to_coeffs, is_prime)
+from linperm.ffield import (_binomials_reducible, _is_irreducible, _pdivmod,
+                            _pgcd, _pmul, _poly_invmod, _pow_vec, _psub,
+                            coeffs_to_int, int_to_coeffs, is_prime)
 
-from conftest import EXHAUSTIVE_FIELDS
+from conftest import EXHAUSTIVE_FIELDS, sweep_contexts
 
 
 def divides(g, f, p):
@@ -167,7 +166,7 @@ class TestFindIrreducible:
         x_vec = [0, 1] + [0] * (m - 2)
         t = list(x_vec)
         for j in range(1, m + 1):
-            t = _pow_vec(t, p, f, p)
+            t = _pow_vec(t, p, lambda a, b: _pdivmod(_pmul(a, b, p), f, p)[1])
             diff = _psub(t, x_vec, p)
             if j < m:
                 assert len(_pgcd(list(f), diff, p)) == 1
@@ -277,7 +276,45 @@ class TestFrobenius:
                     assert (x * y).frobenius(k) == x.frobenius(k) * y.frobenius(k)
 
 
+    @pytest.mark.parametrize("p,e,n", [(3, 1, 32), (1009, 1, 6)])
+    def test_packed_maps_match_basis_powers(self, p, e, n):
+        # column j of map k is the basis vector x^j raised to p^k
+        ctx = field_ctx(p, e, n)
+        pk = ctx.packing
+        for k in range(ctx.m):
+            cols = ctx._frobenius_map(k)
+            assert len(cols) == ctx.m
+            for j, col in enumerate(cols):
+                basis = [0] * ctx.m
+                basis[j] = 1
+                assert _kernel.unpack(col, pk) == _pow_vec(
+                    basis, p**k, ctx._mulvec), (k, j)
+
+
+def linear_chain_norm(x, d):
+    """The relative norm as n/d - 1 Frobenius-and-multiply steps."""
+    ctx = x.ctx
+    acc = y = x
+    for _ in range(ctx.n // d - 1):
+        y = y.frobenius(ctx.e * d)
+        acc = acc * y
+    return acc
+
+
 class TestNorm:
+    # n/d is a power of two over GF(3^32) and GF(2^64); the other two
+    # fields take the odd steps P(j+1) = x * P(j)^Q of the chain too
+    @pytest.mark.parametrize("p,e,n", [(3, 1, 32), (2, 1, 64), (3, 1, 12),
+                                       (2, 2, 15)])
+    def test_doubling_matches_linear_chain(self, p, e, n):
+        ctx = field_ctx(p, e, n)
+        rng = random.Random(64 * p + n)
+        xs = [ctx.random_element(rng) for _ in range(3)] + [ctx.zero, ctx.one]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                for x in xs:
+                    assert x.norm_rel(d) == linear_chain_norm(x, d), (d, x)
+
     def test_f9_values(self, f9):
         t = f9.from_int(3)
         assert t.norm_rel(1).to_int() == 1
@@ -400,44 +437,32 @@ class TestEmbedding:
             assert embed_subfield(x * y, bctx) == ex * ey
 
 
-def sweep_contexts(cap):
-    """Every context a sweep up to ``cap`` touches, lift targets included."""
-    cfg = oracle.SweepConfig(max_field_order=cap)
-    out = set()
-    for p, e, n in oracle._grid(cfg):
-        out.add((p, e, n))
-        for t in range(2, oracle.MAX_T + 1):
-            if math.gcd(t, n) == 1 and p ** (e * n * t) <= cap:
-                out.add((p, e * t, n))
-    return sorted(out)
-
-
 def vector_norm(x, d):
-    """The relative norm onto GF(q^d) by matrix Frobenius and mulmod."""
+    """The relative norm onto GF(q^d) by packed Frobenius and mulmod."""
     ctx = x.ctx
-    flat = ctx._frob_flat(ctx.e * d)
+    cols = ctx._frobenius_map(ctx.e * d)
     acc = y = list(x.coeffs)
     for _ in range(ctx.n // d - 1):
-        y = _kernel.matvec(flat, y, ctx.p)
-        acc = _kernel.mulmod(acc, y, ctx.modulus, ctx.p)
+        y = _kernel.matvec(cols, y, ctx.packing)
+        acc = _kernel.mulmod(acc, y, ctx.packing)
     return tuple(acc)
 
 
 def assert_matches_vector_path(ctx, pairs, singles):
     """Table mul/inv/pow/frobenius/norm_rel against the vector kernels."""
-    p, mod = ctx.p, ctx.modulus
+    p, mod, pk = ctx.p, ctx.modulus, ctx.packing
     for x, y in pairs:
-        assert (x * y).coeffs == tuple(_kernel.mulmod(x.coeffs, y.coeffs, mod, p))
+        assert (x * y).coeffs == tuple(_kernel.mulmod(x.coeffs, y.coeffs, pk))
     exponents = [0, 1, 2, ctx.order - 2, ctx.order - 1, ctx.order, 3**ctx.m + 5]
     divisors = [d for d in range(1, ctx.n + 1) if ctx.n % d == 0]
     for x in singles:
         if x:
             assert x.inv().coeffs == tuple(_poly_invmod(x.coeffs, mod, p))
         for k in exponents:
-            assert (x ** k).coeffs == tuple(_pow_vec(x.coeffs, k, mod, p))
+            assert (x ** k).coeffs == tuple(_pow_vec(x.coeffs, k, ctx._mulvec))
         for k in range(ctx.m + 2):
             assert x.frobenius(k).coeffs == tuple(
-                _kernel.matvec(ctx._frob_flat(k), x.coeffs, p))
+                _kernel.matvec(ctx._frobenius_map(k), x.coeffs, pk))
         for d in divisors:
             assert x.norm_rel(d).coeffs == vector_norm(x, d)
     assert ctx.has_log_tables
@@ -471,7 +496,7 @@ class TestLogTables:
 
     def test_build_rejects_a_repeating_table(self, monkeypatch):
         # a product that ignores its first factor makes every power of g one
-        monkeypatch.setattr(_kernel, "mulmod", lambda a, b, mod, p: list(b))
+        monkeypatch.setattr(_kernel, "mulmod", lambda a, b, pk: list(b))
         ctx = FieldCtx(3, 1, 2)
         with pytest.raises(AssertionError, match="1 distinct elements"):
             ctx.one * ctx.one
@@ -495,7 +520,7 @@ class TestLogTables:
         x = ctx.from_int(1234)
         y = ctx.from_int(777)
         assert (x * y).coeffs == tuple(
-            _kernel.mulmod(x.coeffs, y.coeffs, ctx.modulus, 2))
+            _kernel.mulmod(x.coeffs, y.coeffs, ctx.packing))
         assert x * x.inv() == ctx.one
         assert x.frobenius(ctx.m) == x
         assert ctx.zero ** 0 == ctx.one

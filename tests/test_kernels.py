@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from linperm import _kernel as kernel
 from linperm.ffield import field_ctx
 
+from conftest import sweep_contexts
+
 PRIMES = [2, 3, 5, 7, 31, 101, 2**31 - 1]
 
 
@@ -28,45 +30,65 @@ def naive_mulmod(a, b, mod, p):
 @st.composite
 def kernel_case(draw):
     p = draw(st.sampled_from(PRIMES))
-    m = draw(st.integers(min_value=1, max_value=8))
+    m = draw(st.integers(min_value=1, max_value=64))
     coeff = st.integers(min_value=0, max_value=p - 1)
     mod = draw(st.lists(coeff, min_size=m, max_size=m)) + [1]
     a = draw(st.lists(coeff, min_size=m, max_size=m))
     b = draw(st.lists(coeff, min_size=m, max_size=m))
-    mat = draw(st.lists(coeff, min_size=m * m, max_size=m * m))
+    # m*m drawn entries would make m = 64 slow to generate; seed them instead
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    mat = [rng.randrange(p) for _ in range(m * m)]
     return p, mod, a, b, mat
+
+
+def extreme_case(p, m):
+    """Every coefficient p - 1: the largest value each packed slot holds."""
+    top = [p - 1] * m
+    return p, top + [1], top, top, top * m
 
 
 @given(case=kernel_case())
 @example(case=(2**31 - 1, [5, 1], [2**31 - 2], [2**30], [0]))  # m = 1
-@settings(max_examples=150, deadline=None)
+@example(case=extreme_case(2**31 - 1, 4))  # the widest slot, 8 bytes
+@example(case=extreme_case(3, 32))  # 2m(p-1)^2 = 256 crosses a byte
+@settings(max_examples=150, deadline=None, derandomize=True)
 def test_mulmod_matches_naive_reference(case):
     p, mod, a, b, _ = case
-    assert kernel.mulmod(a, b, mod, p) == naive_mulmod(a, b, mod, p)
+    pk = kernel.Packing(mod, p)
+    assert 256**pk.width > len(a) * (p - 1) ** 2 + p
+    assert kernel.mulmod(a, b, pk) == naive_mulmod(a, b, mod, p)
 
 
 @given(case=kernel_case())
-@settings(max_examples=150, deadline=None)
+@example(case=extreme_case(2**31 - 1, 4))
+@example(case=extreme_case(3, 32))
+@settings(max_examples=150, deadline=None, derandomize=True)
 def test_elementwise_ops(case):
-    p, _, a, b, mat = case
+    p, mod, a, b, mat = case
     m = len(a)
+    pk = kernel.Packing(mod, p)
     assert kernel.addmod(a, b, p) == [(x + y) % p for x, y in zip(a, b)]
     assert kernel.submod(a, b, p) == [(x - y) % p for x, y in zip(a, b)]
     assert kernel.negmod(a, p) == [-x % p for x in a]
+    assert [kernel.unpack(c, pk) for c in kernel.pack_cols([a], pk)] == [a]
+    cols = kernel.pack_cols([mat[j::m] for j in range(m)], pk)
     expected = [sum(mat[i * m + j] * a[j] for j in range(m)) % p for i in range(m)]
-    assert kernel.matvec(mat, a, p) == expected
+    assert kernel.matvec(cols, a, pk) == expected
 
 
-def per_element_eval_all(kernel, rows, mats, mod, p):
-    """One matvec and one mulmod per term at every element; the reference."""
+def per_element_eval_all(rows, maps, mod, p):
+    """One matrix-vector product and one schoolbook product per term at
+    every element; the reference."""
     m = len(mod) - 1
+    pk = kernel.Packing(mod, p)
+    mats = [[kernel.unpack(c, pk) for c in cols] for cols in maps]
     out = []
     for enc in range(p**m):
         x = [enc // p**k % p for k in range(m)]
         acc = [0] * m
         for row, mat in zip(rows, mats):
-            y = kernel.matvec(mat, x, p)
-            t = kernel.mulmod(row, y, mod, p)
+            y = [sum(x[j] * mat[j][i] for j in range(m)) % p for i in range(m)]
+            t = naive_mulmod(row, y, mod, p)
             acc = [(u + v) % p for u, v in zip(acc, t)]
         out.append(sum(c * p**k for k, c in enumerate(acc)))
     return out
@@ -76,16 +98,25 @@ def test_eval_all_matches_per_element_evaluation():
     # two terms over GF(3^2) with modulus t^2 + 1
     p = 3
     mod = [1, 0, 1]
+    pk = kernel.Packing(mod, p)
     rows = [[1, 1], [2, 0]]
-    identity = [1, 0, 0, 1]
-    frob = [1, 0, 0, 2]  # t -> t^3 = 2t on the basis (1, t)
-    mats = [identity, frob]
-    got = kernel.eval_all(rows, mats, mod, p)
+    identity = kernel.identity_cols(pk)
+    frob = kernel.pack_cols([[1, 0], [0, 2]], pk)  # t -> t^3 = 2t
+    maps = [identity, frob]
+    got = kernel.eval_all(rows, maps, pk)
     assert len(got) == 9
-    assert got == per_element_eval_all(kernel, rows, mats, mod, p)
+    assert got == per_element_eval_all(rows, maps, mod, p)
 
-    # 0 to 3 terms over every GF(p^m), p in {2, 3, 5} and m <= 6, with the
-    # moduli and Frobenius matrices of real contexts
+    # four terms over GF(5^4) with every entry 4: a middle slot of the
+    # packed sum reaches 4 * 4 * 4^2 = 256, past one byte
+    ctx = field_ctx(5, 1, 4)
+    rows = [[4] * 4] * 4
+    maps = [kernel.pack_cols([[4] * 4] * 4, ctx.packing)] * 4
+    got = kernel.eval_all(rows, maps, ctx.packing)
+    assert got == per_element_eval_all(rows, maps, list(ctx.modulus), 5)
+
+    # 0 to 3 terms over every GF(p^m), p in {2, 3, 5} and m <= 6, the prime
+    # fields included, with the moduli and Frobenius maps of real contexts
     rng = random.Random(11)
     for p in (2, 3, 5):
         for m in range(1, 7):
@@ -94,7 +125,27 @@ def test_eval_all_matches_per_element_evaluation():
             for terms in range(4):
                 rows = [[rng.randrange(p) for _ in range(m)]
                         for _ in range(terms)]
-                mats = [ctx._frob_flat(rng.randrange(m)) for _ in range(terms)]
-                got = kernel.eval_all(rows, mats, mod, p)
-                assert got == per_element_eval_all(kernel, rows, mats, mod, p), (
+                maps = [ctx._frobenius_map(rng.randrange(m))
+                        for _ in range(terms)]
+                got = kernel.eval_all(rows, maps, ctx.packing)
+                assert got == per_element_eval_all(rows, maps, mod, p), (
                     p, m, terms)
+
+    # every sweep context with p in {2, 3, 5} and m <= 6, with all n terms
+    # of a linearized polynomial nonzero and then a seeded subset of them;
+    # GF(5^4) with four terms needs two-byte slots
+    contexts = [(p, e, n) for p, e, n in sweep_contexts(729)
+                if p in (2, 3, 5) and e * n <= 6]
+    assert len(contexts) == 20
+    for p, e, n in contexts:
+        ctx = field_ctx(p, e, n)
+        mod = list(ctx.modulus)
+        m = ctx.m
+        for terms in (list(range(n)), rng.sample(range(n), rng.randrange(n))):
+            rows = [[rng.randrange(1, p)] + [rng.randrange(p)
+                                             for _ in range(m - 1)]
+                    for _ in terms]
+            maps = [ctx._frobenius_map(e * i) for i in terms]
+            got = kernel.eval_all(rows, maps, ctx.packing)
+            assert got == per_element_eval_all(rows, maps, mod, p), (
+                p, e, n, terms)

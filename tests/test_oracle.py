@@ -206,9 +206,9 @@ class TestDirectCheck:
         target = oracle._direct_sample(field_ctx(3, 1, 2))[0][0]
         real = _kernel.eval_all
 
-        def eval_all(rows, mats, mod, p):
-            img = real(rows, mats, mod, p)
-            if p**(len(mod) - 1) == 9:
+        def eval_all(rows, maps, pk):
+            img = real(rows, maps, pk)
+            if pk.p**pk.m == 9:
                 img[target] = (img[target] + 1) % 9
             return img
 
@@ -294,7 +294,7 @@ def break_cofactor_check(monkeypatch):
 
 def break_root_check(monkeypatch):
     """Make the embedding's root check fail on every call."""
-    def faulty(p, small_mod, big_mod):
+    def faulty(small, big):
         raise AssertionError("embedded generator is not a root of the small modulus")
 
     monkeypatch.setattr(ffield, "_embedding_powers", faulty)
