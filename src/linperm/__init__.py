@@ -8,8 +8,8 @@ exhaustively through the :mod:`linperm.oracle` module.
 """
 
 from . import _kernel
-from .binomial import (BinomialSpec, geometric_power, inverse_binomial,
-                       inverse_special, is_permutation_binomial, lift)
+from .binomial import (BinomialSpec, inverse_binomial, inverse_special,
+                       is_permutation_binomial, lift)
 from .errors import (CapacityError, ContextMismatchError, NotAPermutationError,
                      SingularMatrixError, UnsupportedShapeError)
 from .ffield import (FieldCtx, FieldElem, embed_subfield, field_ctx,
@@ -36,8 +36,8 @@ __all__ = [
     "FieldCtx", "FieldElem", "LinearizedPoly", "NotAPermutationError",
     "SingularMatrixError", "SweepConfig", "SweepReport",
     "UnsupportedShapeError", "brute_inverse_table", "brute_is_permutation",
-    "embed_subfield", "field_ctx", "find_irreducible", "geometric_power",
-    "inverse_binomial", "inverse_dickson", "inverse_special",
-    "is_permutation_binomial", "is_permutation_dickson", "kernel_backend",
-    "lift", "sweep", "verify_inverse",
+    "embed_subfield", "field_ctx", "find_irreducible", "inverse_binomial",
+    "inverse_dickson", "inverse_special", "is_permutation_binomial",
+    "is_permutation_dickson", "kernel_backend", "lift", "sweep",
+    "verify_inverse",
 ]

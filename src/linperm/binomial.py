@@ -77,28 +77,6 @@ def is_permutation_binomial(spec: BinomialSpec) -> bool:
     return perm
 
 
-def geometric_power(a: FieldElem, r: int, i: int) -> FieldElem:
-    """The conjugate product a^(1 + q^r + ... + q^(i*r)).
-
-    Equals a^((q^((i+1)r) - 1) / (q^r - 1)); at i = n/d - 1 it is the full
-    relative norm onto GF(q^d).
-    """
-    ctx = a.ctx
-    if not a:
-        raise ZeroDivisionError("conjugate products of 0 are degenerate")
-    if not 1 <= r <= ctx.n - 1:
-        raise ValueError(f"r={r} outside [1, {ctx.n - 1}]")
-    d = math.gcd(ctx.n, r)
-    if not 0 <= i <= ctx.n // d - 1:
-        raise ValueError(f"i={i} outside [0, {ctx.n // d - 1}]")
-    acc = a
-    y = a
-    for _ in range(i):
-        y = y.frobenius(ctx.e * r)
-        acc = acc * y
-    return acc
-
-
 def inverse_binomial(spec: BinomialSpec) -> LinearizedPoly:
     """Closed-form compositional inverse of x^(q^r) + a*x.
 
@@ -132,7 +110,6 @@ def inverse_binomial(spec: BinomialSpec) -> LinearizedPoly:
 
 
 # dispatch tags for the special-case formulas
-SHAPE_R_ONE = "r_one"
 SHAPE_COPRIME = "coprime"
 SHAPE_HALF = "half"
 
@@ -140,8 +117,6 @@ SHAPE_HALF = "half"
 def _shapes(spec: BinomialSpec) -> list[str]:
     shapes = []
     n = spec.ctx.n
-    if spec.r == 1:
-        shapes.append(SHAPE_R_ONE)
     if n % 2 == 0 and spec.r == n // 2:
         shapes.append(SHAPE_HALF)
     if spec.d == 1:
@@ -150,7 +125,8 @@ def _shapes(spec: BinomialSpec) -> list[str]:
 
 
 def inverse_special(spec: BinomialSpec, which: str | None = None) -> LinearizedPoly:
-    """Special-case inverse formulas for r = 1, gcd(r, n) = 1, or r = n/2.
+    """Special-case inverse formulas for gcd(r, n) = 1 (r = 1 included) or
+    r = n/2.
 
     A deliberately independent evaluation path: norms and coefficient powers
     are computed by square-and-multiply with explicit integer exponents, not
@@ -166,7 +142,7 @@ def inverse_special(spec: BinomialSpec, which: str | None = None) -> LinearizedP
             raise UnsupportedShapeError(
                 f"r={r}, n={n} fits none of the special forms")
         which = applicable[0]
-    elif which not in (SHAPE_R_ONE, SHAPE_COPRIME, SHAPE_HALF):
+    elif which not in (SHAPE_COPRIME, SHAPE_HALF):
         raise ValueError(f"unknown shape tag {which!r}")
     elif which not in applicable:
         raise UnsupportedShapeError(f"r={r}, n={n} does not fit shape {which!r}")
@@ -189,9 +165,8 @@ def inverse_special(spec: BinomialSpec, which: str | None = None) -> LinearizedP
         coeffs[h] = -dinv
         return LinearizedPoly(ctx, coeffs)
 
-    # r = 1 and gcd(r, n) = 1 share one alternating-sum formula, with the
-    # exponent base q for r = 1 and q^r in the coprime case.
-    base = q if which == SHAPE_R_ONE else q**r
+    # gcd(r, n) = 1: the alternating sum with exponents in base q^r
+    base = q**r
     nor = a ** ((q**n - 1) // (q - 1))
     denominator = nor + _sign(ctx, n - 1)
     if not denominator:

@@ -12,7 +12,6 @@ encodings.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import random
 import sys
@@ -131,7 +130,7 @@ def cmd_verify(args):
             "permutation_cases": report.permutation_cases,
             "cofactor_checks": report.cofactor_checks,
             "lift_checks": report.lift_checks,
-            "failures": [dataclasses.asdict(f) for f in report.failures],
+            "failures": [f._asdict() for f in report.failures],
             "timings": report.timings,
             "counts": report.counts,
         }))

@@ -3,9 +3,11 @@
 A :class:`FieldCtx` fixes a prime p and tower parameters e and n (q = p^e,
 the ambient field is GF(q^n), total degree m = e*n over GF(p)); its modulus
 is always :func:`find_irreducible` (p, m), the monic irreducible of degree m
-with the smallest encoding.  Elements are coefficient vectors of length
-m over GF(p); the integer encoding enc(x) = sum(coeffs[i] * p**i) is a
-bijection onto range(p**m) and is the text form used at every interface.
+with the smallest encoding.  An element is one int, the packed form of its
+m power-basis coefficients over GF(p) on which the kernels compute (see
+``_corepy``): zero is 0, one is 1 and packed ints compare in encoding
+order.  The integer encoding enc(x) = sum(coeffs[i] * p**i) is a bijection
+onto range(p**m) and is the text form used at every interface.
 
 The q-power Frobenius is the e-fold p-power Frobenius, so one basis carries
 the whole tower.  Relative norms are doubling chains of Frobenius images
@@ -20,8 +22,8 @@ x^k = g^(k log x) and x^(p^k) = g^(p^k log x), exponents mod order - 1.
 A larger context never builds tables: products and Frobenius maps, each
 cached as its m packed columns, run on the packed-integer kernels with the
 context's ``packing``; inverses come from the extended Euclidean algorithm
-and powers from square-and-multiply.  Elements are coefficient tuples
-either way, and addition, subtraction and negation are coordinatewise.
+and powers from square-and-multiply.  Addition, subtraction and negation
+are slotwise on the packed ints either way.
 """
 
 from __future__ import annotations
@@ -143,10 +145,11 @@ def _pgcd(a, b, p):
     return a
 
 
-def _poly_invmod(a, modulus, p):
-    """Inverse of the length-m vector ``a`` modulo the irreducible modulus."""
-    m = len(modulus) - 1
-    r0, r1 = list(modulus), _ptrim(list(a))
+def _poly_invmod(x, pk):
+    """Inverse of the packed element ``x`` modulo the irreducible ``pk.mod``,
+    by the extended Euclidean algorithm on its digits."""
+    p = pk.p
+    r0, r1 = list(pk.mod), _ptrim(list(_kernel.digits(x, pk)))
     if not r1:
         raise ZeroDivisionError("inverse of the zero field element")
     t0, t1 = [], [1]
@@ -158,15 +161,13 @@ def _poly_invmod(a, modulus, p):
         raise ArithmeticError("element not invertible; modulus is reducible")
     scale = pow(r0[0], p - 2, p)
     inv = [c * scale % p for c in t0]
-    inv.extend([0] * (m - len(inv)))
-    return inv
+    inv.extend([0] * (pk.m - len(inv)))
+    return _kernel.from_digits(inv, pk)
 
 
-def _pow_vec(vec, exponent, mul):
-    """Square-and-multiply power of a residue vector under ``mul(a, b)``."""
-    result = [1] + [0] * (len(vec) - 1)
-    base = list(vec)
-    k = exponent
+def _power(base, k, mul, one):
+    """Square-and-multiply base^k under ``mul(a, b)``, with identity ``one``."""
+    result = one
     while k:
         if k & 1:
             result = mul(result, base)
@@ -193,10 +194,9 @@ def _is_irreducible(f, p: int) -> bool:
         return True
     if f[0] == 0:
         return False
-    x_vec = [0, 1] + [0] * (m - 2)
-    t = list(x_vec)
+    t = x_vec = [0, 1]
     for _ in range(m // 2):
-        t = _pow_vec(t, p, lambda a, b: _pdivmod(_pmul(a, b, p), f, p)[1])
+        t = _power(t, p, lambda a, b: _pdivmod(_pmul(a, b, p), f, p)[1], [1])
         diff = _psub(t, x_vec, p)
         if len(_pgcd(f, diff, p)) != 1:
             return False
@@ -294,22 +294,22 @@ class FieldCtx:
 
     @property
     def zero(self) -> "FieldElem":
-        return FieldElem(self, (0,) * self.m)
+        return FieldElem(self, 0)
 
     @property
     def one(self) -> "FieldElem":
-        return FieldElem(self, (1,) + (0,) * (self.m - 1))
+        return FieldElem(self, 1)
 
     def gen(self) -> "FieldElem":
         """The residue of x, the canonical generator of the power basis."""
-        if self.m == 1:
-            return FieldElem(self, (-self.modulus[0] % self.p,))
-        return FieldElem(self, (0, 1) + (0,) * (self.m - 2))
+        return self.from_int(-self.modulus[0] % self.p if self.m == 1
+                             else self.p)
 
     def from_int(self, value: int) -> "FieldElem":
         if not 0 <= value < self.order:
             raise ValueError(f"encoding {value} outside [0, {self.order})")
-        return FieldElem(self, int_to_coeffs(value, self.m, self.p))
+        return FieldElem(self, _kernel.from_digits(
+            int_to_coeffs(value, self.m, self.p), self.packing))
 
     def elements(self):
         """All field elements, in encoding order."""
@@ -329,26 +329,23 @@ class FieldCtx:
 
         The tables are over the smallest-encoding primitive element g.
         ``_exp[i]`` is g^i for i < 2(order - 1), so the sum of two logs
-        indexes it unreduced; ``_log`` maps each nonzero coefficient tuple
+        indexes it unreduced; ``_log`` maps each nonzero packed element
         to its log in [0, order - 1).  g is primitive when g^(N/l) != 1 for
         every prime l | N = order - 1, and the table must then hold N
         distinct elements.
         """
         if self._log is not None or self.order > LOG_TABLE_MAX_ORDER:
             return self._log
-        m, p = self.m, self.p
         units = self.order - 1
-        one = (1,) + (0,) * (m - 1)
         factors = [l for l in range(2, units + 1)
                    if units % l == 0 and is_prime(l)]
         for enc in range(1, self.order):
-            g = int_to_coeffs(enc, m, p)
-            if all(tuple(_pow_vec(g, units // l, self._mulvec)) != one
-                   for l in factors):
+            g = self.from_int(enc).packed
+            if all(_power(g, units // l, self._mul, 1) != 1 for l in factors):
                 break
-        exp = [one]
+        exp = [1]
         for _ in range(units - 1):
-            exp.append(tuple(_kernel.mulmod(g, exp[-1], self.packing)))
+            exp.append(_kernel.mulmod(g, exp[-1], self.packing))
         log = {v: i for i, v in enumerate(exp)}
         if len(log) != units:
             raise AssertionError(
@@ -358,8 +355,8 @@ class FieldCtx:
         self._log = log
         return log
 
-    def _mulvec(self, a, b):
-        """Product of two coefficient vectors in this field, as a list."""
+    def _mul(self, a, b):
+        """Product of two packed elements of this field."""
         return _kernel.mulmod(a, b, self.packing)
 
     def _frobenius_map(self, k: int) -> tuple:
@@ -372,8 +369,8 @@ class FieldCtx:
             if k == 0:
                 cols = _kernel.identity_cols(pk)
             else:
-                xp = (_kernel.unpack(self._frobenius_map(1)[1], pk) if k > 1
-                      else _pow_vec(self.gen().coeffs, self.p, self._mulvec))
+                xp = (self._frobenius_map(1)[1] if k > 1
+                      else _power(self.gen().packed, self.p, self._mul, 1))
                 cols = _kernel.next_frobenius_cols(
                     self._frobenius_map(k - 1), xp, pk)
             self._frob[k] = cols
@@ -387,14 +384,14 @@ def field_ctx(p: int, e: int, n: int) -> FieldCtx:
 
 
 class FieldElem:
-    """One element of a field context, as a tuple of power-basis
-    coordinates (the key of the log table in small contexts)."""
+    """One element of a field context, as its packed int (the key of the
+    log table in small contexts)."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "packed")
 
-    def __init__(self, ctx: FieldCtx, coeffs: tuple):
+    def __init__(self, ctx: FieldCtx, packed: int):
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.packed = packed
 
     def _peer(self, other) -> "FieldElem":
         if not isinstance(other, FieldElem):
@@ -406,26 +403,26 @@ class FieldElem:
 
     def __add__(self, other):
         other = self._peer(other)
-        return FieldElem(self.ctx, tuple(
-            _kernel.addmod(self.coeffs, other.coeffs, self.ctx.p)))
+        return FieldElem(self.ctx, _kernel.addmod(
+            self.packed, other.packed, self.ctx.packing))
 
     def __sub__(self, other):
         other = self._peer(other)
-        return FieldElem(self.ctx, tuple(
-            _kernel.submod(self.coeffs, other.coeffs, self.ctx.p)))
+        return FieldElem(self.ctx, _kernel.submod(
+            self.packed, other.packed, self.ctx.packing))
 
     def __neg__(self):
-        return FieldElem(self.ctx, tuple(_kernel.negmod(self.coeffs, self.ctx.p)))
+        return FieldElem(self.ctx, _kernel.negmod(self.packed, self.ctx.packing))
 
     def __mul__(self, other):
         other = self._peer(other)
         ctx = self.ctx
         log = ctx._log or ctx._log_tables()
         if log is None:
-            return FieldElem(ctx, tuple(_kernel.mulmod(
-                self.coeffs, other.coeffs, ctx.packing)))
-        la = log.get(self.coeffs)
-        lb = log.get(other.coeffs)
+            return FieldElem(ctx, _kernel.mulmod(
+                self.packed, other.packed, ctx.packing))
+        la = log.get(self.packed)
+        lb = log.get(other.packed)
         if la is None or lb is None:
             return ctx.zero
         return FieldElem(ctx, ctx._exp[la + lb])
@@ -442,9 +439,8 @@ class FieldElem:
         ctx = self.ctx
         log = ctx._log or ctx._log_tables()
         if log is None:
-            return FieldElem(ctx, tuple(_pow_vec(
-                self.coeffs, exponent, ctx._mulvec)))
-        lx = log.get(self.coeffs)
+            return FieldElem(ctx, _power(self.packed, exponent, ctx._mul, 1))
+        lx = log.get(self.packed)
         if lx is None:
             return ctx.one if exponent == 0 else ctx.zero
         return FieldElem(ctx, ctx._exp[lx * exponent % (ctx.order - 1)])
@@ -453,9 +449,8 @@ class FieldElem:
         ctx = self.ctx
         log = ctx._log or ctx._log_tables()
         if log is None:
-            return FieldElem(ctx, tuple(_poly_invmod(
-                self.coeffs, ctx.modulus, ctx.p)))
-        lx = log.get(self.coeffs)
+            return FieldElem(ctx, _poly_invmod(self.packed, ctx.packing))
+        lx = log.get(self.packed)
         if lx is None:
             raise ZeroDivisionError("inverse of the zero field element")
         return FieldElem(ctx, ctx._exp[ctx.order - 1 - lx])
@@ -467,14 +462,14 @@ class FieldElem:
         ctx = self.ctx
         log = ctx._log or ctx._log_tables()
         if log is None:
-            return FieldElem(ctx, tuple(_kernel.matvec(
-                ctx._frobenius_map(k), self.coeffs, ctx.packing)))
-        lx = log.get(self.coeffs)
+            pk = ctx.packing
+            return FieldElem(ctx, _kernel.matvec(
+                ctx._frobenius_map(k), _kernel.digits(self.packed, pk), pk))
+        lx = log.get(self.packed)
         if lx is None:
             return self
         units = ctx.order - 1
         return FieldElem(ctx, ctx._exp[lx * pow(ctx.p, k, units) % units])
-
     def norm_rel(self, d: int) -> "FieldElem":
         """Relative norm onto GF(q^d): the product of the q^d-conjugates.
 
@@ -498,18 +493,20 @@ class FieldElem:
         return acc
 
     def to_int(self) -> int:
-        return coeffs_to_int(self.coeffs, self.ctx.p)
+        ctx = self.ctx
+        return coeffs_to_int(_kernel.digits(self.packed, ctx.packing), ctx.p)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.packed != 0
 
     def __eq__(self, other):
         if not isinstance(other, FieldElem):
             return NotImplemented
-        return self.ctx == other.ctx and self.coeffs == other.coeffs
+        return self.packed == other.packed and (
+            self.ctx is other.ctx or self.ctx == other.ctx)
 
     def __hash__(self):
-        return hash((self.ctx, self.coeffs))
+        return hash((self.ctx, self.packed))
 
     def __repr__(self):
         return f"FieldElem({self.to_int()} in GF({self.ctx.p}^{self.ctx.m}))"
@@ -524,18 +521,11 @@ class FieldElem:
 EMBEDDING_SEED = 1981
 
 
-def _etrim(v):
-    i = len(v)
-    while i and not any(v[i - 1]):
-        i -= 1
-    return v[:i]
-
-
-def _eadd(a, b, p):
+def _eadd(a, b, pk):
     if len(a) < len(b):
         a, b = b, a
-    return _etrim([_kernel.addmod(c, d, p) for c, d in zip(a, b)]
-                  + [list(c) for c in a[len(b):]])
+    return _ptrim([_kernel.addmod(c, d, pk) for c, d in zip(a, b)]
+                  + a[len(b):])
 
 
 def _edivmod(a, b, pk):
@@ -543,38 +533,37 @@ def _edivmod(a, b, pk):
     a = list(a)
     db = len(b) - 1
     if len(a) <= db:
-        return [], _etrim(a)
-    q = [None] * (len(a) - db)
+        return [], _ptrim(a)
+    q = [0] * (len(a) - db)
     for k in range(len(a) - 1, db - 1, -1):
         c = a[k]
         q[k - db] = c
-        if any(c):
+        if c:
             for j in range(db):
-                if any(b[j]):
+                if b[j]:
                     a[k - db + j] = _kernel.submod(
-                        a[k - db + j], _kernel.mulmod(b[j], c, pk), pk.p)
-    return _etrim(q), _etrim(a[:db])
+                        a[k - db + j], _kernel.mulmod(b[j], c, pk), pk)
+    return _ptrim(q), _ptrim(a[:db])
 
 
 def _emulmod(a, b, g, pk):
     """Product of ``a`` and ``b`` over GF(p^M), reduced by the monic ``g``."""
     if not a or not b:
         return []
-    p = pk.p
-    out = [[0] * pk.m for _ in range(len(a) + len(b) - 1)]
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if any(ai):
+        if ai:
             for j, bj in enumerate(b):
-                if any(bj):
+                if bj:
                     out[i + j] = _kernel.addmod(
-                        out[i + j], _kernel.mulmod(ai, bj, pk), p)
+                        out[i + j], _kernel.mulmod(ai, bj, pk), pk)
     return _edivmod(out, g, pk)[1]
 
 
 def _egcd(a, b, pk):
     """Monic gcd over GF(p^M) of the monic ``a`` and ``b``."""
     while b:
-        lead_inv = _poly_invmod(b[-1], pk.mod, pk.p)
+        lead_inv = _poly_invmod(b[-1], pk)
         b = [_kernel.mulmod(c, lead_inv, pk) for c in b]
         a, b = b, _edivmod(a, b, pk)[1]
     return a
@@ -590,34 +579,35 @@ def _split_root(f, pk, rng):
     for p = 2 by the trace sum((delta*alpha)^(2^i), i < M) in {0, 1}.  So
     gcd(g, h) with h the same expression in y mod g splits g whenever two
     roots fall on different sides, which happens with probability at least
-    about one half; the smaller side is kept until it is linear.
+    about one half; the smaller side is kept until it is linear.  The
+    coefficients of f, constants of GF(p), are their own packed elements.
     """
     m, p = pk.m, pk.p
     order = p**m
-    one = [1] + [0] * (m - 1)
-    g = [[c] + [0] * (m - 1) for c in f]
+    g = list(f)
     while len(g) > 2:
-        delta = list(int_to_coeffs(rng.randrange(order), m, p))
+        delta = _kernel.from_digits(
+            int_to_coeffs(rng.randrange(order), m, p), pk)
         if p == 2:
-            t = _etrim([[0] * m, delta])
+            t = _ptrim([0, delta])
             h = t
             for _ in range(m - 1):
                 t = _emulmod(t, t, g, pk)
-                h = _eadd(h, t, p)
+                h = _eadd(h, t, pk)
         else:
-            shift = [delta, one]
-            h = [one]
+            shift = [delta, 1]
+            h = [1]
             for bit in bin((order - 1) // 2)[2:]:
                 h = _emulmod(h, h, g, pk)
                 if bit == "1":
                     h = _emulmod(h, shift, g, pk)
-            h = _eadd(h, [[p - 1] + [0] * (m - 1)], p)
+            h = _eadd(h, [p - 1], pk)
         d = _egcd(g, h, pk)
         if 1 < len(d) < len(g):
             if 2 * len(d) > len(g) + 1:
                 d = _edivmod(g, d, pk)[0]
             g = d
-    return _kernel.negmod(g[0], p)
+    return _kernel.negmod(g[0], pk)
 
 
 @functools.lru_cache(maxsize=None)
@@ -636,18 +626,17 @@ def _embedding_powers(small, big):
     root = _split_root(small_mod, pk, random.Random(EMBEDDING_SEED))
     conjugates = [root]
     for _ in range(small.m - 1):
-        conjugates.append(_pow_vec(conjugates[-1], p, big._mulvec))
-    u = min(conjugates, key=lambda v: coeffs_to_int(v, p))
-    acc = list(big.one.coeffs)
+        conjugates.append(_power(conjugates[-1], p, big._mul, 1))
+    u = min(conjugates)
+    acc = 1
     for c in reversed(small_mod[:-1]):
-        acc = big._mulvec(acc, u)
-        acc[0] = (acc[0] + c) % p
-    if any(acc):
+        acc = _kernel.addmod(big._mul(acc, u), c, pk)
+    if acc:
         raise AssertionError("embedded generator is not a root of the small modulus")
-    powers = [big.one.coeffs]
+    powers = [1]
     for _ in range(small.m - 1):
-        powers.append(big._mulvec(powers[-1], u))
-    return _kernel.pack_cols(powers, pk)
+        powers.append(big._mul(powers[-1], u))
+    return tuple(powers)
 
 
 def embed_subfield(x: FieldElem, big: FieldCtx) -> FieldElem:
@@ -667,4 +656,5 @@ def embed_subfield(x: FieldElem, big: FieldCtx) -> FieldElem:
         raise ValueError(
             f"degree {small.m} does not divide {big.m}; no embedding exists")
     powers = _embedding_powers(small, big)
-    return FieldElem(big, tuple(_kernel.matvec(powers, x.coeffs, big.packing)))
+    return FieldElem(big, _kernel.matvec(
+        powers, _kernel.digits(x.packed, small.packing), big.packing))

@@ -14,11 +14,11 @@ collecting failures as data instead of raising.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import random
 import time
-from dataclasses import dataclass, field
 
 from . import _kernel, binomial
 from .errors import CapacityError, NotAPermutationError
@@ -86,7 +86,7 @@ def _images(L: LinearizedPoly, mismatches: list | None = None) -> list[int]:
     maps = []
     for i, c in enumerate(L.coeffs):
         if c:
-            rows.append(c.coeffs)
+            rows.append(c.packed)
             maps.append(ctx._frobenius_map(ctx.e * i))
     img = _kernel.eval_all(rows, maps, ctx.packing)
     bad = []
@@ -145,9 +145,9 @@ def _embedding_table(small: FieldCtx, big: FieldCtx) -> list[int]:
     return [embed_subfield(x, big).to_int() for x in small.elements()]
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Bounds for the cross-validation grid.
+class SweepConfig(collections.namedtuple(
+        "SweepConfig", "max_field_order primes")):
+    """Bounds for the cross-validation grid; immutable and hashable.
 
     ``max_field_order`` caps p^(e*n) for exhaustive checks, lifted fields
     included, and may not exceed the module safety cap; the module constants
@@ -155,28 +155,23 @@ class SweepConfig:
     Every entry of ``primes`` must be a prime no larger than ``MAX_PRIME``.
     """
 
-    max_field_order: int = 729
-    primes: tuple[int, ...] = (2, 3, 5)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.max_field_order <= MAX_EXHAUSTIVE_ORDER:
+    def __new__(cls, max_field_order: int = 729, primes=(2, 3, 5)):
+        if not 1 <= max_field_order <= MAX_EXHAUSTIVE_ORDER:
             raise ValueError(
                 f"max_field_order must lie in [1, {MAX_EXHAUSTIVE_ORDER}]")
-        object.__setattr__(self, "primes", tuple(self.primes))
-        for p in self.primes:
+        primes = tuple(primes)
+        for p in primes:
             check_characteristic(p)
+        return super().__new__(cls, max_field_order, primes)
 
 
-@dataclass(frozen=True)
-class SweepFailure:
-    p: int
-    e: int
-    n: int
-    r: int
-    a: int
-    t: int | None
-    check: str
-    detail: str
+class SweepFailure(collections.namedtuple(
+        "SweepFailure", "p e n r a t check detail")):
+    """One failed check of one case; ``t`` is the lift factor or None."""
+
+    __slots__ = ()
 
     def line(self) -> str:
         t = "-" if self.t is None else str(self.t)
@@ -184,19 +179,32 @@ class SweepFailure:
                 f"a={self.a} t={t} check={self.check} detail={self.detail}")
 
 
-@dataclass
 class SweepReport:
-    config: SweepConfig
-    cases: int = 0
-    permutation_cases: int = 0
-    cofactor_checks: int = 0
-    lift_checks: int = 0
-    failures: list[SweepFailure] = field(default_factory=list)
-    timings: dict = field(default_factory=dict, compare=False)
-    # a context's log tables are built once per process, so a repeated
-    # sweep counts none; counts are left out of comparisons
-    counts: dict = field(default_factory=lambda: dict.fromkeys(COUNTS, 0),
-                         compare=False)
+    """What a sweep checked and what failed.
+
+    ``timings`` (seconds per check family) and ``counts`` (work units, see
+    ``COUNTS``) are left out of comparisons: a context's log tables are
+    built once per process, so a repeated sweep counts none.
+    """
+
+    def __init__(self, config: SweepConfig):
+        self.config = config
+        self.cases = 0
+        self.permutation_cases = 0
+        self.cofactor_checks = 0
+        self.lift_checks = 0
+        self.failures = []
+        self.timings = {}
+        self.counts = dict.fromkeys(COUNTS, 0)
+
+    def _key(self):
+        return (self.config, self.cases, self.permutation_cases,
+                self.cofactor_checks, self.lift_checks, self.failures)
+
+    def __eq__(self, other):
+        if not isinstance(other, SweepReport):
+            return NotImplemented
+        return self._key() == other._key()
 
     @property
     def ok(self) -> bool:
@@ -249,17 +257,22 @@ def _grid(cfg: SweepConfig):
 def _check_cofactors(ctx, spec, D, det, failures):
     """Closed forms of the first-column cofactors of D for r = 1, a != 0.
 
-    cofactor(0,0) = N(a)/a, cofactor(i,0) = (-1)^i N(a) a^-(1+q+...+q^i)
-    for middle i, cofactor(n-1,0) = (-1)^(n-1), and the determinant ``det``
-    of D is N(a) + (-1)^(n-1); all hold whether or not the binomial permutes.
+    cofactor(i,0) = (-1)^i N(a) a^-(1+q+...+q^i) for i < n - 1,
+    cofactor(n-1,0) = (-1)^(n-1), and the determinant ``det`` of D is
+    N(a) + (-1)^(n-1); all hold whether or not the binomial permutes.  The
+    prefix products a^(1+q+...+q^i) come from one running chain of
+    conjugates, one Frobenius and one multiply per step.
     """
     n = ctx.n
     a = spec.a
     nor = a.norm_rel(1)
     checks = []
-    checks.append(("cof0", D.cofactor(0, 0), nor * a.inv()))
-    for i in range(1, n - 1):
-        expected = nor * binomial.geometric_power(a, 1, i).inv()
+    prefix = y = a
+    for i in range(n - 1):
+        if i:
+            y = y.frobenius(ctx.e)
+            prefix = prefix * y
+        expected = nor * prefix.inv()
         if i % 2:
             expected = -expected
         checks.append((f"cof{i}", D.cofactor(i, 0), expected))

@@ -8,8 +8,8 @@ from linperm import (BinomialSpec, ContextMismatchError, FieldCtx,
                      embed_subfield, field_ctx, find_irreducible, lift)
 from linperm import _kernel, ffield, oracle
 from linperm.ffield import (_binomials_reducible, _is_irreducible, _pdivmod,
-                            _pgcd, _pmul, _poly_invmod, _pow_vec, _psub,
-                            coeffs_to_int, int_to_coeffs, is_prime)
+                            _pgcd, _pmul, _power, _psub, coeffs_to_int,
+                            int_to_coeffs, is_prime)
 
 from conftest import EXHAUSTIVE_FIELDS, sweep_contexts
 
@@ -166,7 +166,8 @@ class TestFindIrreducible:
         x_vec = [0, 1] + [0] * (m - 2)
         t = list(x_vec)
         for j in range(1, m + 1):
-            t = _pow_vec(t, p, lambda a, b: _pdivmod(_pmul(a, b, p), f, p)[1])
+            t = _power(t, p, lambda a, b: _pdivmod(_pmul(a, b, p), f, p)[1],
+                       [1])
             diff = _psub(t, x_vec, p)
             if j < m:
                 assert len(_pgcd(list(f), diff, p)) == 1
@@ -220,6 +221,25 @@ class TestArithmetic:
     def test_inverse_of_zero_raises(self, f9):
         with pytest.raises(ZeroDivisionError):
             f9.zero.inv()
+
+    @pytest.mark.parametrize("p,e,n", [(2, 1, 5), (3, 1, 4), (1009, 1, 6)])
+    def test_element_equality_hash_and_bool(self, p, e, n):
+        ctx = field_ctx(p, e, n)
+        twin = FieldCtx(p, e, n)  # equal context, another object
+        tower = field_ctx(p, e * n, 1)  # same modulus, other tower
+        top = p ** (ctx.m - 1)  # only the top digit set
+        for enc in (0, 1, p - 1, top, ctx.order - 1):
+            x = ctx.from_int(enc)
+            assert x == twin.from_int(enc)
+            assert hash(x) == hash(twin.from_int(enc))
+            assert x.packed == tower.from_int(enc).packed
+            assert x != tower.from_int(enc)
+            assert bool(x) == (enc != 0)
+            assert x != ctx.from_int((enc + 1) % ctx.order)
+        assert not ctx.zero and ctx.one
+        assert ctx.from_int(top) != top  # no equality with a bare int
+        elements = {ctx.from_int(enc) for enc in range(min(ctx.order, 500))}
+        assert len(elements) == min(ctx.order, 500)
 
     def test_context_mismatch(self, f9):
         other = field_ctx(2, 1, 2)
@@ -285,10 +305,8 @@ class TestFrobenius:
             cols = ctx._frobenius_map(k)
             assert len(cols) == ctx.m
             for j, col in enumerate(cols):
-                basis = [0] * ctx.m
-                basis[j] = 1
-                assert _kernel.unpack(col, pk) == _pow_vec(
-                    basis, p**k, ctx._mulvec), (k, j)
+                basis = ctx.from_int(p**j).packed
+                assert col == _power(basis, p**k, ctx._mul, 1), (k, j)
 
 
 def linear_chain_norm(x, d):
@@ -366,7 +384,7 @@ class TestEmbedding:
         flat = field_ctx(3, 1, 6)
         assert flat.modulus == f729.modulus
         t = f9.gen()
-        assert embed_subfield(t, flat).coeffs == embed_subfield(t, f729).coeffs
+        assert embed_subfield(t, flat).packed == embed_subfield(t, f729).packed
 
     def test_requires_divisible_degree(self, f9):
         with pytest.raises(ValueError):
@@ -440,36 +458,37 @@ class TestEmbedding:
 def vector_norm(x, d):
     """The relative norm onto GF(q^d) by packed Frobenius and mulmod."""
     ctx = x.ctx
+    pk = ctx.packing
     cols = ctx._frobenius_map(ctx.e * d)
-    acc = y = list(x.coeffs)
+    acc = y = x.packed
     for _ in range(ctx.n // d - 1):
-        y = _kernel.matvec(cols, y, ctx.packing)
-        acc = _kernel.mulmod(acc, y, ctx.packing)
-    return tuple(acc)
+        y = _kernel.matvec(cols, _kernel.digits(y, pk), pk)
+        acc = _kernel.mulmod(acc, y, pk)
+    return acc
 
 
 def assert_matches_vector_path(ctx, pairs, singles):
-    """Table mul/inv/pow/frobenius/norm_rel against the vector kernels."""
-    p, mod, pk = ctx.p, ctx.modulus, ctx.packing
+    """Table mul/inv/pow/frobenius/norm_rel against the packed kernels."""
+    pk = ctx.packing
     for x, y in pairs:
-        assert (x * y).coeffs == tuple(_kernel.mulmod(x.coeffs, y.coeffs, pk))
+        assert (x * y).packed == _kernel.mulmod(x.packed, y.packed, pk)
     exponents = [0, 1, 2, ctx.order - 2, ctx.order - 1, ctx.order, 3**ctx.m + 5]
     divisors = [d for d in range(1, ctx.n + 1) if ctx.n % d == 0]
     for x in singles:
         if x:
-            assert x.inv().coeffs == tuple(_poly_invmod(x.coeffs, mod, p))
+            assert x.inv().packed == ffield._poly_invmod(x.packed, pk)
         for k in exponents:
-            assert (x ** k).coeffs == tuple(_pow_vec(x.coeffs, k, ctx._mulvec))
+            assert (x ** k).packed == _power(x.packed, k, ctx._mul, 1)
         for k in range(ctx.m + 2):
-            assert x.frobenius(k).coeffs == tuple(
-                _kernel.matvec(ctx._frobenius_map(k), x.coeffs, pk))
+            assert x.frobenius(k).packed == _kernel.matvec(
+                ctx._frobenius_map(k), _kernel.digits(x.packed, pk), pk)
         for d in divisors:
-            assert x.norm_rel(d).coeffs == vector_norm(x, d)
+            assert x.norm_rel(d).packed == vector_norm(x, d)
     assert ctx.has_log_tables
 
 
 class TestLogTables:
-    """Small contexts multiply through log tables; the vector kernels are
+    """Small contexts multiply through log tables; the packed kernels are
     the reference they must match."""
 
     @pytest.mark.parametrize("p,e,n", sweep_contexts(64))
@@ -492,11 +511,11 @@ class TestLogTables:
         assert f9._exp[:order] == f9._exp[order:]
         assert all(f9._exp[f9._log[v]] == v for v in f9._log)
         # the smallest-encoding primitive element of GF(9) = GF(3)[t]/(t^2+1)
-        assert coeffs_to_int(f9._exp[1], 3) == 4
+        assert f9._exp[1] == f9.from_int(4).packed
 
     def test_build_rejects_a_repeating_table(self, monkeypatch):
         # a product that ignores its first factor makes every power of g one
-        monkeypatch.setattr(_kernel, "mulmod", lambda a, b, pk: list(b))
+        monkeypatch.setattr(_kernel, "mulmod", lambda a, b, pk: b)
         ctx = FieldCtx(3, 1, 2)
         with pytest.raises(AssertionError, match="1 distinct elements"):
             ctx.one * ctx.one
@@ -519,8 +538,8 @@ class TestLogTables:
         assert ctx.order > ffield.LOG_TABLE_MAX_ORDER
         x = ctx.from_int(1234)
         y = ctx.from_int(777)
-        assert (x * y).coeffs == tuple(
-            _kernel.mulmod(x.coeffs, y.coeffs, ctx.packing))
+        assert (x * y).packed == _kernel.mulmod(x.packed, y.packed,
+                                                ctx.packing)
         assert x * x.inv() == ctx.one
         assert x.frobenius(ctx.m) == x
         assert ctx.zero ** 0 == ctx.one

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,14 @@ from linperm.ffield import field_ctx
 from conftest import sweep_contexts
 
 PRIMES = [2, 3, 5, 7, 31, 101, 2**31 - 1]
+
+
+def pack(v, pk):
+    return kernel.from_digits(v, pk)
+
+
+def unpack(x, pk):
+    return list(kernel.digits(x, pk))
 
 
 def naive_mulmod(a, b, mod, p):
@@ -56,7 +65,8 @@ def test_mulmod_matches_naive_reference(case):
     p, mod, a, b, _ = case
     pk = kernel.Packing(mod, p)
     assert 256**pk.width > len(a) * (p - 1) ** 2 + p
-    assert kernel.mulmod(a, b, pk) == naive_mulmod(a, b, mod, p)
+    got = kernel.mulmod(pack(a, pk), pack(b, pk), pk)
+    assert unpack(got, pk) == naive_mulmod(a, b, mod, p)
 
 
 @given(case=kernel_case())
@@ -67,13 +77,63 @@ def test_elementwise_ops(case):
     p, mod, a, b, mat = case
     m = len(a)
     pk = kernel.Packing(mod, p)
-    assert kernel.addmod(a, b, p) == [(x + y) % p for x, y in zip(a, b)]
-    assert kernel.submod(a, b, p) == [(x - y) % p for x, y in zip(a, b)]
-    assert kernel.negmod(a, p) == [-x % p for x in a]
-    assert [kernel.unpack(c, pk) for c in kernel.pack_cols([a], pk)] == [a]
-    cols = kernel.pack_cols([mat[j::m] for j in range(m)], pk)
+    x, y = pack(a, pk), pack(b, pk)
+    assert unpack(kernel.addmod(x, y, pk), pk) == [
+        (u + v) % p for u, v in zip(a, b)]
+    assert unpack(kernel.submod(x, y, pk), pk) == [
+        (u - v) % p for u, v in zip(a, b)]
+    assert unpack(kernel.negmod(x, pk), pk) == [-u % p for u in a]
+    assert unpack(x, pk) == a
+    cols = [pack(mat[j::m], pk) for j in range(m)]
     expected = [sum(mat[i * m + j] * a[j] for j in range(m)) % p for i in range(m)]
-    assert kernel.matvec(cols, a, pk) == expected
+    assert unpack(kernel.matvec(cols, a, pk), pk) == expected
+
+
+# one-byte slots for p = 2, 3, 5; three-byte slots for p = 1009 at m = 6
+# and eight-byte slots for p = 2^31 - 1 at m = 4
+PACKED_FIELDS = [(2, 1, 5), (3, 1, 4), (5, 1, 3), (1009, 1, 6),
+                 (2**31 - 1, 1, 4)]
+
+
+def slot_vectors(p, m, rng):
+    """All digits 0, all p - 1, the two alternations, and seeded draws."""
+    return ([[0] * m, [p - 1] * m, [(p - 1) * (i % 2) for i in range(m)],
+             [(p - 1) * (1 - i % 2) for i in range(m)]]
+            + [[rng.randrange(p) for _ in range(m)] for _ in range(4)])
+
+
+@pytest.mark.parametrize("p,e,n", PACKED_FIELDS)
+def test_slotwise_ops_and_encoding_round_trip(p, e, n):
+    ctx = field_ctx(p, e, n)
+    pk, m = ctx.packing, ctx.m
+    assert (pk.width == 1) == (p < 1009)
+    vectors = slot_vectors(p, m, random.Random(p))
+    for a in vectors:
+        x = pack(a, pk)
+        enc = sum(c * p**i for i, c in enumerate(a))
+        assert ctx.from_int(enc).packed == x
+        assert ctx.from_int(enc).to_int() == enc
+        assert unpack(kernel.negmod(x, pk), pk) == [-u % p for u in a]
+        for b in vectors:
+            y = pack(b, pk)
+            assert unpack(kernel.addmod(x, y, pk), pk) == [
+                (u + v) % p for u, v in zip(a, b)]
+            assert unpack(kernel.submod(x, y, pk), pk) == [
+                (u - v) % p for u, v in zip(a, b)]
+    # zero, one and the GF(p) constants are their own packed ints
+    assert ctx.zero.packed == 0 and ctx.one.packed == 1
+    assert ctx.from_int(p - 1).packed == p - 1
+
+
+@pytest.mark.parametrize("p,e,n", PACKED_FIELDS)
+def test_packed_order_is_encoding_order(p, e, n):
+    ctx = field_ctx(p, e, n)
+    rng = random.Random(n)
+    encs = sorted({rng.randrange(ctx.order) for _ in range(200)}
+                  | {0, 1, p - 1, p, ctx.order - 1})
+    packed = [ctx.from_int(enc).packed for enc in encs]
+    assert packed == sorted(packed)
+    assert len(set(packed)) == len(encs)
 
 
 def per_element_eval_all(rows, maps, mod, p):
@@ -81,7 +141,8 @@ def per_element_eval_all(rows, maps, mod, p):
     every element; the reference."""
     m = len(mod) - 1
     pk = kernel.Packing(mod, p)
-    mats = [[kernel.unpack(c, pk) for c in cols] for cols in maps]
+    mats = [[unpack(c, pk) for c in cols] for cols in maps]
+    rows = [unpack(row, pk) for row in rows]
     out = []
     for enc in range(p**m):
         x = [enc // p**k % p for k in range(m)]
@@ -99,9 +160,9 @@ def test_eval_all_matches_per_element_evaluation():
     p = 3
     mod = [1, 0, 1]
     pk = kernel.Packing(mod, p)
-    rows = [[1, 1], [2, 0]]
+    rows = [pack([1, 1], pk), pack([2, 0], pk)]
     identity = kernel.identity_cols(pk)
-    frob = kernel.pack_cols([[1, 0], [0, 2]], pk)  # t -> t^3 = 2t
+    frob = (pack([1, 0], pk), pack([0, 2], pk))  # t -> t^3 = 2t
     maps = [identity, frob]
     got = kernel.eval_all(rows, maps, pk)
     assert len(got) == 9
@@ -110,8 +171,8 @@ def test_eval_all_matches_per_element_evaluation():
     # four terms over GF(5^4) with every entry 4: a middle slot of the
     # packed sum reaches 4 * 4 * 4^2 = 256, past one byte
     ctx = field_ctx(5, 1, 4)
-    rows = [[4] * 4] * 4
-    maps = [kernel.pack_cols([[4] * 4] * 4, ctx.packing)] * 4
+    rows = [pack([4] * 4, ctx.packing)] * 4
+    maps = [[pack([4] * 4, ctx.packing)] * 4] * 4
     got = kernel.eval_all(rows, maps, ctx.packing)
     assert got == per_element_eval_all(rows, maps, list(ctx.modulus), 5)
 
@@ -123,7 +184,8 @@ def test_eval_all_matches_per_element_evaluation():
             ctx = field_ctx(p, 1, m)
             mod = list(ctx.modulus)
             for terms in range(4):
-                rows = [[rng.randrange(p) for _ in range(m)]
+                rows = [pack([rng.randrange(p) for _ in range(m)],
+                             ctx.packing)
                         for _ in range(terms)]
                 maps = [ctx._frobenius_map(rng.randrange(m))
                         for _ in range(terms)]
@@ -142,8 +204,9 @@ def test_eval_all_matches_per_element_evaluation():
         mod = list(ctx.modulus)
         m = ctx.m
         for terms in (list(range(n)), rng.sample(range(n), rng.randrange(n))):
-            rows = [[rng.randrange(1, p)] + [rng.randrange(p)
-                                             for _ in range(m - 1)]
+            rows = [pack([rng.randrange(1, p)] + [rng.randrange(p)
+                                                  for _ in range(m - 1)],
+                         ctx.packing)
                     for _ in terms]
             maps = [ctx._frobenius_map(e * i) for i in terms]
             got = kernel.eval_all(rows, maps, ctx.packing)
