@@ -16,8 +16,8 @@ from .ffield import (FieldCtx, FieldElem, embed_subfield, field_ctx,
                      find_irreducible)
 from .linpoly import (DicksonMatrix, LinearizedPoly, inverse_dickson,
                       is_permutation_dickson)
-from .oracle import (SweepConfig, SweepReport, brute_inverse_table,
-                     brute_is_permutation, sweep, verify_inverse)
+from .oracle import (SweepConfig, SweepReport, brute_is_permutation, sweep,
+                     verify_inverse)
 
 __version__ = "0.1.0"
 
@@ -35,9 +35,8 @@ __all__ = [
     "BinomialSpec", "CapacityError", "ContextMismatchError", "DicksonMatrix",
     "FieldCtx", "FieldElem", "LinearizedPoly", "NotAPermutationError",
     "SingularMatrixError", "SweepConfig", "SweepReport",
-    "UnsupportedShapeError", "brute_inverse_table", "brute_is_permutation",
-    "embed_subfield", "field_ctx", "find_irreducible", "inverse_binomial",
-    "inverse_dickson", "inverse_special", "is_permutation_binomial",
-    "is_permutation_dickson", "kernel_backend", "lift", "sweep",
-    "verify_inverse",
+    "UnsupportedShapeError", "brute_is_permutation", "embed_subfield",
+    "field_ctx", "find_irreducible", "inverse_binomial", "inverse_dickson",
+    "inverse_special", "is_permutation_binomial", "is_permutation_dickson",
+    "kernel_backend", "lift", "sweep", "verify_inverse",
 ]

@@ -5,10 +5,12 @@ of its power-basis coefficients, little-endian, is sum(v[i] * 256^(w*i)),
 with w bytes a slot and 256^w > m(p-1)^2 + p for a modulus of degree m, so
 no slot of a product or of a sum of m scaled columns carries into the next.
 Every slot of an element is reduced into [0, p): zero is 0, one is 1 and a
-GF(p) constant c is c, and packed ints compare in encoding order.  Other
-modules call these through ``_kernel``; digit vectors appear only at the
-text boundary (:func:`digits`, :func:`from_digits`) and as the input of
-:func:`matvec`.
+GF(p) constant c is c, and packed ints compare in encoding order.  A
+polynomial over GF(p) of any degree is packed the same way, its degree
+read off the bit length; the extended Euclidean algorithm behind
+:func:`invmod` and :func:`coprime` runs on these ints.  Other modules call
+these through ``_kernel``; digit vectors appear only at the text boundary
+(:func:`digits`, :func:`from_digits`) and as the input of :func:`matvec`.
 """
 
 from operator import mul
@@ -17,17 +19,20 @@ BACKEND = "python"
 
 
 class Packing:
-    """Slot width and ``fold[k]`` = packed x^(m+k) mod ``mod``, k < m - 1,
-    for the monic ``mod`` of degree m; built once per field modulus."""
+    """Slot width, the packed modulus and ``fold[k]`` = packed x^(m+k) mod
+    ``mod``, k < m - 1, for the monic ``mod`` of degree m given by its
+    digits; built once per field modulus and per irreducibility candidate."""
 
     __slots__ = ("p", "m", "mod", "width", "fold", "_residues", "_ps")
 
     def __init__(self, mod, p):
         m = len(mod) - 1
-        self.p, self.m, self.mod = p, m, tuple(mod)
+        self.p, self.m = p, m
         self.width = _width(m * (p - 1) ** 2 + p)
+        self.mod = _pack(mod, self.width)
         # bytes.translate table reducing one-byte slots mod p
-        self._residues = bytes(c % p for c in range(256)) if p < 256 else None
+        self._residues = ((bytes(range(p)) * (256 // p + 1))[:256] if p < 256
+                          else None)
         # p in every slot: added before a subtraction, so no slot borrows
         self._ps = _pack([p] * m, self.width)
         fold = []
@@ -65,9 +70,9 @@ def _slots(x, n, width, pk):
             for i in range(0, n * width, width)]
 
 
-def _norm(x, pk):
-    """``x`` with each of its m slots reduced mod p."""
-    return _pack(digits(x, pk), pk.width)
+def _norm(x, pk, n=None):
+    """``x`` with each of its n slots, m by default, reduced mod p."""
+    return _pack(_slots(x, n or pk.m, pk.width, pk), pk.width)
 
 
 def _reduce(v, pk):
@@ -109,6 +114,56 @@ def negmod(a, pk):
 def mulmod(a, b, pk):
     """Product of two packed elements modulo ``pk.mod``."""
     return _reduce(_slots(a * b, 2 * pk.m - 1, pk.width, pk), pk)
+
+
+def _euclid(r0, r1, t1, pk):
+    """(g, t): g a gcd of the packed polynomials ``r0`` != 0 and ``r1``, and
+    t = ``t1`` * u with u r1 = g modulo r0; ``t1`` = 0 skips the cofactor.
+
+    One division step takes k x^s r1 off r0, with k the ratio of the leading
+    coefficients, as r0 + (p - k)(r1 << 8ws) and one slot reduction (an XOR
+    for p = 2); the cofactor of r0 takes the same step with that of r1.  A
+    slot then holds at most (p - 1) + (p - 1)^2 < p^2, which the field's
+    slots hold.  The loop stops at a constant r1, so with r0 the modulus of
+    degree m every cofactor has degree below m and is reduced over m slots.
+    """
+    p = pk.p
+    bits = 8 * pk.width
+    t0 = 0
+    while r1 >> bits:
+        d1 = (r1.bit_length() - 1) // bits
+        lead_inv = pow(r1 >> bits * d1, -1, p)
+        d0 = (r0.bit_length() - 1) // bits
+        while d0 >= d1:
+            s = bits * (d0 - d1)
+            if p == 2:
+                r0 ^= r1 << s
+                t0 ^= t1 << s
+            else:
+                k = p - (r0 >> bits * d0) * lead_inv % p
+                r0 = _norm(r0 + k * (r1 << s), pk, d0 + 1)
+                if t1:
+                    t0 = _norm(t0 + k * (t1 << s), pk)
+            d0 = (r0.bit_length() - 1) // bits
+        r0, r1, t0, t1 = r1, r0, t1, t0
+    return (r1, t1) if r1 else (r0, t0)
+
+
+def invmod(x, pk):
+    """Inverse of the packed element ``x`` modulo ``pk.mod``; raises
+    ArithmeticError when x shares a factor with a reducible modulus."""
+    if not x:
+        raise ZeroDivisionError("inverse of the zero field element")
+    g, t = _euclid(pk.mod, x, 1, pk)
+    if g >> 8 * pk.width:
+        raise ArithmeticError("element not invertible; modulus is reducible")
+    return _norm(t * pow(g, -1, pk.p), pk)
+
+
+def coprime(a, b, pk):
+    """Whether the packed polynomials ``a`` != 0 and ``b`` over GF(p) have
+    no common factor of positive degree."""
+    return not _euclid(a, b, 0, pk)[0] >> 8 * pk.width
 
 
 def matvec(cols, v, pk):

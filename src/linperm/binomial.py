@@ -83,7 +83,9 @@ def inverse_binomial(spec: BinomialSpec) -> LinearizedPoly:
     For a = 0 the binomial degenerates to the monomial x^(q^r), whose
     inverse is x^(q^(n-r)).  Otherwise slot (i*r mod n) receives
     front * (-1)^i * (1/a)^(1 + q^r + ... + q^(i*r)) built incrementally
-    from front / a, with front = N(a) / (N(a) + (-1)^(n/d - 1)).
+    from front / a, with front = N(a) / den and den = N(a) + (-1)^(n/d - 1).
+    One inversion serves both quotients (Montgomery's trick): with
+    z = 1/(den * a), front / a = N(a) * z and 1/a = den * z.
     """
     ctx = spec.ctx
     n, e, r, d = ctx.n, ctx.e, spec.r, spec.d
@@ -96,11 +98,10 @@ def inverse_binomial(spec: BinomialSpec) -> LinearizedPoly:
         raise NotAPermutationError(
             "binomial does not permute the field: criterion value is 1",
             criterion_value=criterion_value(spec))
-    front = nor * denominator.inv()
-    ainv = spec.a.inv()
+    z = (denominator * spec.a).inv()
     coeffs = [ctx.zero] * n
-    term = front * ainv
-    y = ainv
+    term = nor * z
+    y = denominator * z
     for i in range(nd):
         if i:
             y = y.frobenius(e * r)

@@ -22,8 +22,9 @@ x^k = g^(k log x) and x^(p^k) = g^(p^k log x), exponents mod order - 1.
 A larger context never builds tables: products and Frobenius maps, each
 cached as its m packed columns, run on the packed-integer kernels with the
 context's ``packing``; inverses come from the extended Euclidean algorithm
-and powers from square-and-multiply.  Addition, subtraction and negation
-are slotwise on the packed ints either way.
+on packed polynomials (``_kernel.invmod``) and powers from
+square-and-multiply.  Addition, subtraction and negation are slotwise on
+the packed ints either way.
 """
 
 from __future__ import annotations
@@ -87,84 +88,6 @@ def coeffs_to_int(coeffs, p: int) -> int:
     return enc
 
 
-# ---------------------------------------------------------------------------
-# polynomial arithmetic over GF(p) on trimmed little-endian lists
-# ---------------------------------------------------------------------------
-
-def _ptrim(v):
-    i = len(v)
-    while i and v[i - 1] == 0:
-        i -= 1
-    return v[:i]
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _psub(a, b, p):
-    length = max(len(a), len(b))
-    out = [0] * length
-    for i in range(length):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % p
-    return _ptrim(out)
-
-
-def _pdivmod(a, b, p):
-    """Quotient and remainder of trimmed polynomials; ``b`` must be nonzero."""
-    a = list(a)
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return [], _ptrim(a)
-    lead_inv = pow(b[-1], p - 2, p)
-    q = [0] * (len(a) - db)
-    for k in range(len(a) - 1, db - 1, -1):
-        c = a[k]
-        if c:
-            f = c * lead_inv % p
-            q[k - db] = f
-            for j in range(db + 1):
-                a[k - db + j] = (a[k - db + j] - f * b[j]) % p
-    return _ptrim(q), _ptrim(a)
-
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b:
-        _, r = _pdivmod(a, b, p)
-        a, b = b, r
-    return a
-
-
-def _poly_invmod(x, pk):
-    """Inverse of the packed element ``x`` modulo the irreducible ``pk.mod``,
-    by the extended Euclidean algorithm on its digits."""
-    p = pk.p
-    r0, r1 = list(pk.mod), _ptrim(list(_kernel.digits(x, pk)))
-    if not r1:
-        raise ZeroDivisionError("inverse of the zero field element")
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        t0, t1 = t1, _psub(t0, _pmul(q, t1, p), p)
-    if len(r0) != 1:
-        raise ArithmeticError("element not invertible; modulus is reducible")
-    scale = pow(r0[0], p - 2, p)
-    inv = [c * scale % p for c in t0]
-    inv.extend([0] * (pk.m - len(inv)))
-    return _kernel.from_digits(inv, pk)
-
-
 def _power(base, k, mul, one):
     """Square-and-multiply base^k under ``mul(a, b)``, with identity ``one``."""
     result = one
@@ -182,23 +105,24 @@ def _power(base, k, mul, one):
 # ---------------------------------------------------------------------------
 
 def _is_irreducible(f, p: int) -> bool:
-    """Irreducibility of the monic polynomial ``f`` over GF(p).
+    """Irreducibility of the monic polynomial ``f`` over GF(p), given by its
+    digits.
 
     f of degree m is irreducible exactly when it has no factor of degree
     j <= m/2, that is when gcd(x^(p^j) - x, f) = 1 for every such j; the
-    powers x^(p^j) mod f are iterated by p-th powering, so the cost is
-    polynomial in m and log p.  A candidate gets no kernel ``Packing``.
+    powers x^(p^j) mod f are iterated by p-th powering on the kernel
+    ``Packing`` of f, so the cost is polynomial in m and log p.
     """
     m = len(f) - 1
     if m == 1:
         return True
     if f[0] == 0:
         return False
-    t = x_vec = [0, 1]
+    pk = _kernel.Packing(f, p)
+    t = x = 1 << 8 * pk.width
     for _ in range(m // 2):
-        t = _power(t, p, lambda a, b: _pdivmod(_pmul(a, b, p), f, p)[1], [1])
-        diff = _psub(t, x_vec, p)
-        if len(_pgcd(f, diff, p)) != 1:
+        t = _power(t, p, lambda a, b: _kernel.mulmod(a, b, pk), 1)
+        if not _kernel.coprime(pk.mod, _kernel.submod(t, x, pk), pk):
             return False
     return True
 
@@ -449,7 +373,7 @@ class FieldElem:
         ctx = self.ctx
         log = ctx._log or ctx._log_tables()
         if log is None:
-            return FieldElem(ctx, _poly_invmod(self.packed, ctx.packing))
+            return FieldElem(ctx, _kernel.invmod(self.packed, ctx.packing))
         lx = log.get(self.packed)
         if lx is None:
             raise ZeroDivisionError("inverse of the zero field element")
@@ -521,6 +445,13 @@ class FieldElem:
 EMBEDDING_SEED = 1981
 
 
+def _ptrim(v):
+    i = len(v)
+    while i and v[i - 1] == 0:
+        i -= 1
+    return v[:i]
+
+
 def _eadd(a, b, pk):
     if len(a) < len(b):
         a, b = b, a
@@ -563,7 +494,7 @@ def _emulmod(a, b, g, pk):
 def _egcd(a, b, pk):
     """Monic gcd over GF(p^M) of the monic ``a`` and ``b``."""
     while b:
-        lead_inv = _poly_invmod(b[-1], pk)
+        lead_inv = _kernel.invmod(b[-1], pk)
         b = [_kernel.mulmod(c, lead_inv, pk) for c in b]
         a, b = b, _edivmod(a, b, pk)[1]
     return a

@@ -178,24 +178,6 @@ class DicksonMatrix:
         det = _eliminate(ctx, minor, False)
         return det if (i + j) % 2 == 0 else -det
 
-    def __matmul__(self, other: "DicksonMatrix") -> "DicksonMatrix":
-        if self.ctx != other.ctx:
-            raise ContextMismatchError("product across contexts")
-        n = self.ctx.n
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = self.ctx.zero
-                for k in range(n):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            rows.append(tuple(row))
-        return DicksonMatrix(self.ctx, tuple(rows))
-
     def __eq__(self, other):
         if not isinstance(other, DicksonMatrix):
             return NotImplemented

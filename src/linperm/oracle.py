@@ -21,7 +21,7 @@ import random
 import time
 
 from . import _kernel, binomial
-from .errors import CapacityError, NotAPermutationError
+from .errors import CapacityError
 from .ffield import (FieldCtx, check_characteristic, embed_subfield,
                      field_ctx)
 from .linpoly import LinearizedPoly
@@ -124,19 +124,6 @@ def verify_inverse(L: LinearizedPoly, M: LinearizedPoly) -> bool:
     img_m = _images(M)
     return all(img_m[img_l[i]] == i and img_l[img_m[i]] == i
                for i in range(L.ctx.order))
-
-
-def brute_inverse_table(L: LinearizedPoly) -> list[int]:
-    """Table T with T[enc(L(x))] = enc(x); requires a permutation."""
-    _require_capacity(L.ctx)
-    img = _images(L)
-    order = L.ctx.order
-    if len(set(img)) != order:
-        raise NotAPermutationError("polynomial does not permute the field")
-    table = [0] * order
-    for x_enc, y_enc in enumerate(img):
-        table[y_enc] = x_enc
-    return table
 
 
 @functools.lru_cache(maxsize=None)
@@ -260,19 +247,19 @@ def _check_cofactors(ctx, spec, D, det, failures):
     cofactor(i,0) = (-1)^i N(a) a^-(1+q+...+q^i) for i < n - 1,
     cofactor(n-1,0) = (-1)^(n-1), and the determinant ``det`` of D is
     N(a) + (-1)^(n-1); all hold whether or not the binomial permutes.  The
-    prefix products a^(1+q+...+q^i) come from one running chain of
-    conjugates, one Frobenius and one multiply per step.
+    prefix products a^-(1+q+...+q^i) come from one running chain of
+    conjugates of 1/a, one Frobenius and one multiply per step.
     """
     n = ctx.n
     a = spec.a
     nor = a.norm_rel(1)
     checks = []
-    prefix = y = a
+    prefix = y = a.inv()
     for i in range(n - 1):
         if i:
             y = y.frobenius(ctx.e)
             prefix = prefix * y
-        expected = nor * prefix.inv()
+        expected = nor * prefix
         if i % 2:
             expected = -expected
         checks.append((f"cof{i}", D.cofactor(i, 0), expected))

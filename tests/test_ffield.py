@@ -3,13 +3,14 @@
 import random
 
 import pytest
+from sympy.polys import galoistools as gt
+from sympy.polys.domains import ZZ
 
 from linperm import (BinomialSpec, ContextMismatchError, FieldCtx,
                      embed_subfield, field_ctx, find_irreducible, lift)
 from linperm import _kernel, ffield, oracle
-from linperm.ffield import (_binomials_reducible, _is_irreducible, _pdivmod,
-                            _pgcd, _pmul, _power, _psub, coeffs_to_int,
-                            int_to_coeffs, is_prime)
+from linperm.ffield import (_binomials_reducible, _is_irreducible, _power,
+                            coeffs_to_int, int_to_coeffs, is_prime)
 
 from conftest import EXHAUSTIVE_FIELDS, sweep_contexts
 
@@ -161,18 +162,19 @@ class TestFindIrreducible:
                                      (2**31 - 1, 2), (1000003, 4),
                                      (2**31 - 1, 4)])
     def test_irreducibility_witness(self, p, m):
-        # divides x^(p^m) - x, and gcd(x^(p^j) - x, f) = 1 for all j < m
-        f = find_irreducible(p, m)
-        x_vec = [0, 1] + [0] * (m - 2)
-        t = list(x_vec)
+        # divides x^(p^m) - x, and gcd(x^(p^j) - x, f) = 1 for all j < m,
+        # in sympy's arithmetic over GF(p) (big-endian coefficient lists)
+        f = [ZZ(c) for c in reversed(find_irreducible(p, m))]
+        x = [ZZ(1), ZZ(0)]
+        t = x
         for j in range(1, m + 1):
-            t = _power(t, p, lambda a, b: _pdivmod(_pmul(a, b, p), f, p)[1],
-                       [1])
-            diff = _psub(t, x_vec, p)
+            t = gt.gf_pow_mod(t, p, f, p, ZZ)
+            diff = gt.gf_sub(t, x, p, ZZ)
             if j < m:
-                assert len(_pgcd(list(f), diff, p)) == 1
+                assert gt.gf_gcd(f, diff, p, ZZ) == [ZZ(1)]
             else:
                 assert not diff
+        assert gt.gf_irreducible_p(f, p, ZZ)
 
 
 class TestContext:
@@ -476,7 +478,7 @@ def assert_matches_vector_path(ctx, pairs, singles):
     divisors = [d for d in range(1, ctx.n + 1) if ctx.n % d == 0]
     for x in singles:
         if x:
-            assert x.inv().packed == ffield._poly_invmod(x.packed, pk)
+            assert x.inv().packed == _kernel.invmod(x.packed, pk)
         for k in exponents:
             assert (x ** k).packed == _power(x.packed, k, ctx._mul, 1)
         for k in range(ctx.m + 2):
@@ -514,9 +516,11 @@ class TestLogTables:
         assert f9._exp[1] == f9.from_int(4).packed
 
     def test_build_rejects_a_repeating_table(self, monkeypatch):
-        # a product that ignores its first factor makes every power of g one
-        monkeypatch.setattr(_kernel, "mulmod", lambda a, b, pk: b)
+        # a product that ignores its first factor makes every power of g
+        # one; the modulus search, which multiplies through the same
+        # kernel, runs before the patch
         ctx = FieldCtx(3, 1, 2)
+        monkeypatch.setattr(_kernel, "mulmod", lambda a, b, pk: b)
         with pytest.raises(AssertionError, match="1 distinct elements"):
             ctx.one * ctx.one
         assert not ctx.has_log_tables

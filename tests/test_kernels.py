@@ -5,9 +5,11 @@ import random
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.polys import galoistools as gt
+from sympy.polys.domains import ZZ
 
 from linperm import _kernel as kernel
-from linperm.ffield import field_ctx
+from linperm.ffield import _is_irreducible, field_ctx, int_to_coeffs
 
 from conftest import sweep_contexts
 
@@ -134,6 +136,56 @@ def test_packed_order_is_encoding_order(p, e, n):
     packed = [ctx.from_int(enc).packed for enc in encs]
     assert packed == sorted(packed)
     assert len(set(packed)) == len(encs)
+
+
+# one-byte slots for GF(3^32) and GF(2^64), the characteristic-2 XOR step
+# included; two, three and eight bytes for GF(5^24), GF(1009^6) and
+# GF((2^31 - 1)^4)
+INVMOD_FIELDS = [(3, 1, 32), (2, 1, 64), (5, 1, 24), (1009, 1, 6),
+                 (2**31 - 1, 1, 4)]
+
+
+@pytest.mark.parametrize("p,e,n", INVMOD_FIELDS)
+def test_invmod_inverts(p, e, n):
+    ctx = field_ctx(p, e, n)
+    pk, m = ctx.packing, ctx.m
+    assert (pk.width == 1) == (p < 5)
+    rng = random.Random(m)
+    vectors = ([[c] + [0] * (m - 1) for c in {1, 2 % p, p - 1}]
+               + [[p - 1] * m, [0] * (m - 1) + [p - 1]]
+               + [[rng.randrange(p) for _ in range(m)] for _ in range(20)])
+    for v in vectors:
+        if any(v):
+            x = pack(v, pk)
+            y = kernel.invmod(x, pk)
+            assert pack(unpack(y, pk), pk) == y  # every slot reduced
+            assert kernel.mulmod(x, y, pk) == 1
+            assert kernel.invmod(y, pk) == x
+    with pytest.raises(ZeroDivisionError):
+        kernel.invmod(0, pk)
+
+
+@pytest.mark.parametrize("p,mod", [(2, [1, 0, 1]), (3, [2, 0, 1]),
+                                   (5, [4, 0, 0, 1])])
+def test_invmod_under_a_reducible_modulus(p, mod):
+    # each modulus (x^2 + 1 = (x + 1)^2 over GF(2), x^2 - 1, x^3 - 1) has
+    # the factor x - 1, so x - 1 is no unit; x^m = 1 makes x^(m-1) the
+    # inverse of x
+    pk = kernel.Packing(mod, p)
+    m = len(mod) - 1
+    with pytest.raises(ArithmeticError):
+        kernel.invmod(pack([p - 1, 1] + [0] * (m - 2), pk), pk)
+    x = pack([0, 1] + [0] * (m - 2), pk)
+    assert kernel.invmod(x, pk) == pack([0] * (m - 1) + [1], pk)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_is_irreducible_matches_sympy(p):
+    for m in range(1, 5):
+        for tail in range(p**m):
+            f = int_to_coeffs(tail, m, p) + (1,)
+            expected = gt.gf_irreducible_p([ZZ(c) for c in reversed(f)], p, ZZ)
+            assert _is_irreducible(f, p) == expected, f
 
 
 def per_element_eval_all(rows, maps, mod, p):

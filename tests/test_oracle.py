@@ -5,8 +5,8 @@ import functools
 import pytest
 
 from linperm import (BinomialSpec, CapacityError, LinearizedPoly,
-                     NotAPermutationError, SweepConfig, brute_inverse_table,
-                     brute_is_permutation, field_ctx, is_permutation_binomial,
+                     NotAPermutationError, SweepConfig, brute_is_permutation,
+                     field_ctx, inverse_binomial, is_permutation_binomial,
                      sweep, verify_inverse)
 from linperm import _kernel, binomial, ffield, linpoly, oracle
 from linperm.cli import main
@@ -45,13 +45,12 @@ class TestBruteForce:
             return real(*args)
 
         monkeypatch.setattr(_kernel, "eval_all", eval_all)
-        for check in (brute_is_permutation, brute_inverse_table,
+        for check in (brute_is_permutation,
                       lambda poly: verify_inverse(poly, poly)):
             with pytest.raises(CapacityError, match="1048576"):
                 check(ident)
         assert not tables
         assert brute_is_permutation(L)
-        assert len(brute_inverse_table(L)) == f9.order
         assert verify_inverse(L, M)
         assert tables
 
@@ -74,25 +73,39 @@ class TestVerifyInverse:
 
 
 class TestInverseTable:
+    """Inverses checked pointwise against the brute-force image tables."""
+
     def test_identity(self, f9):
-        table = brute_inverse_table(LinearizedPoly.identity(f9))
-        assert table == list(range(9))
+        ident = LinearizedPoly.identity(f9)
+        assert brute_is_permutation(ident)
+        assert verify_inverse(ident, ident)
 
     def test_scaling(self, f9):
+        # x -> c x is inverted by x -> x / c and by no other scaling
         c = f9.from_int(4)
-        table = brute_inverse_table(LinearizedPoly(f9, [c, f9.zero]))
-        cinv = c.inv()
-        for y in f9.elements():
-            assert table[y.to_int()] == (cinv * y).to_int()
+        L = LinearizedPoly(f9, [c, f9.zero])
+        for d in f9.elements():
+            assert verify_inverse(L, LinearizedPoly(f9, [d, f9.zero])) == (
+                d == c.inv())
 
     def test_matches_closed_form_inverse(self, f9, L, M):
-        table = brute_inverse_table(L)
-        for y in f9.elements():
-            assert table[y.to_int()] == M.eval(y).to_int()
+        assert M == inverse_binomial(BinomialSpec(f9.from_int(4), 1))
+        assert verify_inverse(L, M)
+        # changing either coefficient of M breaks the pointwise check
+        for i in range(2):
+            for enc in range(9):
+                encs = list(M.to_encodings())
+                if encs[i] != enc:
+                    encs[i] = enc
+                    assert not verify_inverse(
+                        L, LinearizedPoly.from_encodings(f9, encs))
 
     def test_requires_permutation(self, f9):
+        Lbad = LinearizedPoly.from_encodings(f9, [3, 1])
+        assert not brute_is_permutation(Lbad)
+        assert not verify_inverse(Lbad, LinearizedPoly.identity(f9))
         with pytest.raises(NotAPermutationError):
-            brute_inverse_table(LinearizedPoly.from_encodings(f9, [3, 1]))
+            inverse_binomial(BinomialSpec(f9.from_int(3), 1))
 
 
 class TestSweepConfig:
