@@ -6,10 +6,11 @@ nothing is derived from the formulas under test.  A table is built by
 evaluating the polynomial directly on the m basis vectors of GF(p^m) and
 extending by GF(p)-linearity.  Linearity is checked, not assumed: a seeded
 sample of non-basis elements is re-evaluated directly with
-:meth:`LinearizedPoly.eval` and must match the table.  The exhaustive
-routines refuse fields above ``MAX_EXHAUSTIVE_ORDER`` elements, and
-:func:`sweep` drives the full cross-validation grid over (p, e, n, r, a),
-collecting failures as data instead of raising.
+:meth:`LinearizedPoly.eval` and must match the table.  The two verdicts on
+tables, kernel size and two-sided inverse, are the predicates that
+:func:`brute_is_permutation`, :func:`verify_inverse` and :func:`sweep` all
+call.  Fields above ``MAX_EXHAUSTIVE_ORDER`` elements are refused, and
+:func:`sweep` runs the full grid over (p, e, n, r, a), collecting failures.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import random
 import time
 
 from . import _kernel, binomial
-from .errors import CapacityError
+from .errors import CapacityError, ContextMismatchError
 from .ffield import (FieldCtx, check_characteristic, embed_subfield,
                      field_ctx)
 from .linpoly import LinearizedPoly
@@ -82,13 +83,10 @@ def _images(L: LinearizedPoly, mismatches: list | None = None) -> list[int]:
     ``AssertionError`` otherwise.
     """
     ctx = L.ctx
-    rows = []
-    maps = []
-    for i, c in enumerate(L.coeffs):
-        if c:
-            rows.append(c.packed)
-            maps.append(ctx._frobenius_map(ctx.e * i))
-    img = _kernel.eval_all(rows, maps, ctx.packing)
+    support = [i for i, c in enumerate(L.coeffs) if c]
+    img = _kernel.eval_all([L.coeffs[i].packed for i in support],
+                           [ctx._frobenius_map(ctx.e * i) for i in support],
+                           ctx.packing)
     bad = []
     for enc, x in _direct_sample(ctx):
         direct = L.eval(x).to_int()
@@ -102,28 +100,35 @@ def _images(L: LinearizedPoly, mismatches: list | None = None) -> list[int]:
     return img
 
 
-def brute_is_permutation(L: LinearizedPoly) -> bool:
-    """Exhaustive bijectivity check.
+def _kernel_size(img: list[int]) -> int | None:
+    """How many elements an image table sends to 0; None when that count and
+    the image size disagree on bijectivity, as no linear map's table does."""
+    kernel = img.count(0)
+    return kernel if (kernel == 1) == (len(set(img)) == len(img)) else None
 
-    Computes both the image-set size and the kernel triviality count; the
-    two must agree by linearity, and their agreement is asserted.
-    """
+
+def _inverts(img_l: list[int], img_m: list[int]) -> bool:
+    """True iff two image tables compose to the identity both ways."""
+    identity = list(range(len(img_l)))
+    return (list(map(img_m.__getitem__, img_l)) == identity
+            == list(map(img_l.__getitem__, img_m)))
+
+
+def brute_is_permutation(L: LinearizedPoly) -> bool:
+    """Exhaustive bijectivity check; raises if image and kernel disagree."""
     _require_capacity(L.ctx)
-    img = _images(L)
-    image_full = len(set(img)) == L.ctx.order
-    kernel_trivial = img.count(0) == 1
-    if image_full != kernel_trivial:
-        raise AssertionError("image-size and kernel checks disagree")
-    return image_full
+    kernel = _kernel_size(_images(L))
+    if kernel is None:
+        raise AssertionError("image and kernel checks disagree")
+    return kernel == 1
 
 
 def verify_inverse(L: LinearizedPoly, M: LinearizedPoly) -> bool:
     """True iff L(M(x)) = x = M(L(x)) for every field element x."""
+    if M.ctx is not L.ctx and M.ctx != L.ctx:
+        raise ContextMismatchError("inverse check across contexts")
     _require_capacity(L.ctx)
-    img_l = _images(L)
-    img_m = _images(M)
-    return all(img_m[img_l[i]] == i and img_l[img_m[i]] == i
-               for i in range(L.ctx.order))
+    return _inverts(_images(L), _images(M))
 
 
 @functools.lru_cache(maxsize=None)
@@ -341,11 +346,11 @@ def sweep(cfg: SweepConfig) -> SweepReport:
                     counts["eliminations"] += 1
                     perm_det = bool(det)
                     img = table(L, "polynomial")
-                    perm_brute = len(set(img)) == ctx.order
-                    kernel = img.count(0)
-                    if perm_brute != (kernel == 1):
+                    kernel = _kernel_size(img)
+                    perm_brute = kernel == 1
+                    if kernel is None:
                         fail(CHECK_CRITERION, "image and kernel checks disagree")
-                    elif not perm_brute and kernel != ctx.q ** math.gcd(n, r):
+                    elif kernel not in (1, ctx.q ** math.gcd(n, r)):
                         # x^(q^r - 1) = -a has 0 or q^d - 1 nonzero solutions
                         fail(CHECK_CRITERION, f"kernel has {kernel} elements, "
                              f"expected {ctx.q ** math.gcd(n, r)}")
@@ -371,11 +376,8 @@ def sweep(cfg: SweepConfig) -> SweepReport:
                     M = binomial.inverse_binomial(spec)
                     if L.compose(M) != identity or M.compose(L) != identity:
                         fail(CHECK_INVERSE, "composition is not the identity")
-                    else:
-                        img_m = table(M, "inverse")
-                        if not all(img_m[img[i]] == i and img[img_m[i]] == i
-                                   for i in range(ctx.order)):
-                            fail(CHECK_INVERSE, "pointwise inverse check failed")
+                    elif not _inverts(img, table(M, "inverse")):
+                        fail(CHECK_INVERSE, "pointwise inverse check failed")
 
                 with _Timer(timings, CHECK_AGREEMENT):
                     counts["eliminations"] += 1
@@ -408,14 +410,13 @@ def sweep(cfg: SweepConfig) -> SweepReport:
                             fail(CHECK_LIFT, f"embedding: {exc}", t=t)
                             continue
                         img_big = table(lifted, "lift", t=t)
-                        if len(set(img_big)) != big.order:
+                        if _kernel_size(img_big) != 1:
                             fail(CHECK_LIFT, "lift is not a permutation", t=t)
                             continue
-                        # pointwise agreement on the embedded subfield, read
-                        # off the two exhaustive image tables
+                        # lift(emb(s)) = emb(L(s)) for every small s
                         emb = _embedding_table(ctx, big)
-                        if any(img_big[emb[s]] != emb[img[s]]
-                               for s in range(ctx.order)):
+                        if (list(map(img_big.__getitem__, emb))
+                                != list(map(emb.__getitem__, img))):
                             fail(CHECK_LIFT, "disagrees with the source on "
                                  "the embedded subfield", t=t)
     counts["log_tables"] = sum(c.has_log_tables for c in untabled)

@@ -4,14 +4,14 @@ import functools
 
 import pytest
 
-from linperm import (BinomialSpec, CapacityError, LinearizedPoly,
-                     NotAPermutationError, SweepConfig, brute_is_permutation,
-                     field_ctx, inverse_binomial, is_permutation_binomial,
-                     sweep, verify_inverse)
+from linperm import (BinomialSpec, CapacityError, ContextMismatchError,
+                     LinearizedPoly, NotAPermutationError, SweepConfig,
+                     brute_is_permutation, field_ctx, inverse_binomial,
+                     is_permutation_binomial, sweep, verify_inverse)
 from linperm import _kernel, binomial, ffield, linpoly, oracle
 from linperm.cli import main
-from linperm.oracle import (CHECK_AGREEMENT, CHECK_CRITERION, CHECK_LIFT,
-                            MAX_EXHAUSTIVE_ORDER)
+from linperm.oracle import (CHECK_AGREEMENT, CHECK_CRITERION, CHECK_INVERSE,
+                            CHECK_LIFT, MAX_EXHAUSTIVE_ORDER, SweepFailure)
 
 
 @pytest.fixture
@@ -70,6 +70,18 @@ class TestVerifyInverse:
         # a non-permutation composed with anything cannot pass
         Lbad = LinearizedPoly.from_encodings(f9, [3, 1])
         assert not verify_inverse(Lbad, Lbad)
+
+    @pytest.mark.parametrize("p,e,n", [(3, 1, 3), (2, 1, 2), (3, 2, 1)])
+    def test_other_field_is_a_context_mismatch(self, f9, p, e, n):
+        # GF(27) and GF(4) differ in size from GF(9); GF(9) as (3, 2, 1) is
+        # the same size but another context, as for ``compose``
+        ident = LinearizedPoly.identity(f9)
+        other = LinearizedPoly.identity(field_ctx(p, e, n))
+        for first, second in ((ident, other), (other, ident)):
+            with pytest.raises(ContextMismatchError):
+                verify_inverse(first, second)
+            with pytest.raises(ContextMismatchError):
+                first.compose(second)
 
 
 class TestInverseTable:
@@ -354,3 +366,100 @@ class TestBrokenInvariants:
         assert code == 1
         assert f"check={check}" in out
         assert "cases: 9" in out
+
+
+def gf9_permutations():
+    ctx = field_ctx(3, 1, 2)
+    return [a for a in range(9)
+            if is_permutation_binomial(BinomialSpec(ctx.from_int(a), 1))]
+
+
+def unsampled_pair(ctx):
+    """The two GF(9) elements off the basis and off the direct sample, where
+    no spot check sees a corrupted table entry."""
+    sampled = {enc for enc, _ in oracle._direct_sample(ctx)}
+    return [x for x in range(9) if x not in {0, 1, 3} | sampled]
+
+
+def break_inverse_tables(monkeypatch):
+    """Swap two unsampled entries of every GF(9) inverse table.  The
+    binomials x^3 + a x have x^3-coefficient 1 and their inverses for a != 0
+    do not, which tells the inverse tables apart."""
+    ctx = field_ctx(3, 1, 2)
+    i, j = unsampled_pair(ctx)
+    real = oracle._images
+
+    def images(poly, mismatches=None):
+        img = real(poly, mismatches)
+        if poly.ctx == ctx and poly.coeffs[1] != ctx.one:
+            img[i], img[j] = img[j], img[i]
+        return img
+
+    monkeypatch.setattr(oracle, "_images", images)
+    return [a for a in gf9_permutations()
+            if inverse_binomial(BinomialSpec(ctx.from_int(a), 1)).coeffs[1]
+            != ctx.one]
+
+
+def break_lift(monkeypatch):
+    """Lift every binomial to the zero polynomial."""
+    monkeypatch.setattr(binomial, "lift",
+                        lambda L, t, big: LinearizedPoly.zero(big))
+    return gf9_permutations()
+
+
+def break_embedding_table(monkeypatch):
+    """Scale the embedding table by t, which lies outside GF(3): then
+    L(t y) - t L(y) = (t^3 - t) y^3 != 0 for every y != 0."""
+    real = oracle._embedding_table
+
+    def scaled(small, big):
+        c = big.from_int(3)
+        return [(c * big.from_int(y)).to_int() for y in real(small, big)]
+
+    monkeypatch.setattr(oracle, "_embedding_table", scaled)
+    return gf9_permutations()
+
+
+class TestBruteForceFailures:
+    """Faults that only the sweep's brute-force tables can see: each case
+    still runs, and each fault leaves exactly its own failure records."""
+
+    @pytest.mark.parametrize("inject,check,t,detail", [
+        (break_inverse_tables, CHECK_INVERSE, None,
+         "pointwise inverse check failed"),
+        (break_lift, CHECK_LIFT, 1, "lift is not a permutation"),
+        (break_embedding_table, CHECK_LIFT, 1,
+         "disagrees with the source on the embedded subfield"),
+    ])
+    def test_records_are_exact(self, monkeypatch, inject, check, t, detail):
+        hit = inject(monkeypatch)
+        assert len(hit) == (4 if check == CHECK_INVERSE else 5)
+        report = sweep(GF9_GRID)
+        assert (report.cases, report.permutation_cases,
+                report.lift_checks) == (9, 5, 5)
+        assert report.failures == [
+            SweepFailure(3, 1, 2, 1, a, t, check, detail) for a in hit]
+
+    def test_image_and_kernel_disagreement(self, monkeypatch, f9, L):
+        # copy one unsampled entry of every bijective GF(9) table over the
+        # other: one zero is left, but the values are no longer distinct
+        i, j = unsampled_pair(f9)
+        real = oracle._images
+
+        def images(poly, mismatches=None):
+            img = real(poly, mismatches)
+            if len(set(img)) == len(img):
+                img[i] = img[j]
+            return img
+
+        monkeypatch.setattr(oracle, "_images", images)
+        with pytest.raises(AssertionError, match="kernel checks disagree"):
+            brute_is_permutation(L)
+        report = sweep(GF9_GRID)
+        assert (report.cases, report.permutation_cases) == (9, 0)
+        assert report.failures == [
+            SweepFailure(3, 1, 2, 1, a, None, CHECK_CRITERION, detail)
+            for a in gf9_permutations()
+            for detail in ("image and kernel checks disagree",
+                           "norm=True det=True brute=False")]
