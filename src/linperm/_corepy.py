@@ -72,6 +72,9 @@ def _slots(x, n, width, pk):
 
 def _norm(x, pk, n=None):
     """``x`` with each of its n slots, m by default, reduced mod p."""
+    if pk.width == 1:
+        return int.from_bytes(
+            x.to_bytes(n or pk.m, "little").translate(pk._residues), "little")
     return _pack(_slots(x, n or pk.m, pk.width, pk), pk.width)
 
 

@@ -89,14 +89,18 @@ def coeffs_to_int(coeffs, p: int) -> int:
 
 
 def _power(base, k, mul, one):
-    """Square-and-multiply base^k under ``mul(a, b)``, with identity ``one``."""
-    result = one
-    while k:
-        if k & 1:
+    """Square-and-multiply base^k under ``mul(a, b)``, with identity ``one``.
+
+    The bits of k are read from the top, so every product that is not a
+    square has ``base`` itself as a factor, cheap when ``base`` is sparse.
+    """
+    if not k:
+        return one
+    result = base
+    for bit in bin(k)[3:]:
+        result = mul(result, result)
+        if bit == "1":
             result = mul(result, base)
-        k >>= 1
-        if k:
-            base = mul(base, base)
     return result
 
 
@@ -363,6 +367,8 @@ class FieldElem:
         ctx = self.ctx
         log = ctx._log or ctx._log_tables()
         if log is None:
+            if self.packed:
+                exponent %= ctx.order - 1
             return FieldElem(ctx, _power(self.packed, exponent, ctx._mul, 1))
         lx = log.get(self.packed)
         if lx is None:
@@ -526,12 +532,8 @@ def _split_root(f, pk, rng):
                 t = _emulmod(t, t, g, pk)
                 h = _eadd(h, t, pk)
         else:
-            shift = [delta, 1]
-            h = [1]
-            for bit in bin((order - 1) // 2)[2:]:
-                h = _emulmod(h, h, g, pk)
-                if bit == "1":
-                    h = _emulmod(h, shift, g, pk)
+            h = _power([delta, 1], (order - 1) // 2,
+                       lambda a, b: _emulmod(a, b, g, pk), [1])
             h = _eadd(h, [p - 1], pk)
         d = _egcd(g, h, pk)
         if 1 < len(d) < len(g):

@@ -4,7 +4,9 @@ A q-linearized polynomial L(x) = sum(a_i x^(q^i), i < n) induces a
 GF(q)-linear map of GF(q^n).  Its Dickson matrix has entry
 (i, j) = a_((j-i) mod n)^(q^i); L permutes the field exactly when that
 matrix is nonsingular, and the coefficient vector of the compositional
-inverse of a permutation is the first row of the inverse matrix.
+inverse of a permutation is the first row of the inverse matrix.  One
+elimination routine, :func:`_solve`, gives every matrix quantity: the
+determinant, cofactors, that first row and the whole inverse.
 """
 
 from __future__ import annotations
@@ -132,32 +134,30 @@ class DicksonMatrix:
         return LinearizedPoly(self.ctx, self.entries[0])
 
     def det(self) -> FieldElem:
-        return _eliminate(self.ctx, [list(r) for r in self.entries], False)
+        return _solve(self.ctx, self.entries, 0)[0]
 
     def det_and_inverse(self) -> tuple[FieldElem, "DicksonMatrix"]:
-        """Gauss-Jordan on [D | I]; raises on a singular matrix."""
-        ctx = self.ctx
-        n = ctx.n
-        rows = [list(row) + [ctx.one if i == j else ctx.zero for j in range(n)]
-                for i, row in enumerate(self.entries)]
-        det = _eliminate(ctx, rows, True)
-        if not det:
+        """det D and D^-1, whose row i solves x D = e_i; raises on a
+        singular matrix."""
+        det, rows = _solve(self.ctx, self.entries, self.ctx.n)
+        if rows is None:
             raise SingularMatrixError("matrix is singular")
-        return det, DicksonMatrix(ctx, [row[n:] for row in rows])
+        return det, DicksonMatrix(self.ctx, rows)
 
     def inverse_poly(self) -> LinearizedPoly:
         """Compositional inverse of :meth:`poly`: row 0 of the inverse matrix.
 
-        Row 0 is the solution x of x D = e_0 (see :func:`_solve_row0`), so
-        the rest of the inverse is never formed.  As a consistency check the
+        Row 0 is the solution x of x D = e_0 (see :func:`_solve`), so the
+        rest of the inverse is never formed.  As a consistency check the
         determinant is recomputed by first-column cofactor expansion
         (cofactor (i,0) equals det times x_i) and must match the elimination
         determinant and be fixed by the q-power Frobenius.
         """
         ctx = self.ctx
-        det, x = _solve_row0(ctx, self.entries)
-        if x is None:
+        det, rows = _solve(ctx, self.entries, 1)
+        if rows is None:
             raise SingularMatrixError("polynomial does not permute the field")
+        x = rows[0]
         expansion = ctx.zero
         for row, xi in zip(self.entries, x):
             if row[0] and xi:
@@ -168,14 +168,8 @@ class DicksonMatrix:
 
     def cofactor(self, i: int, j: int) -> FieldElem:
         """Signed minor determinant; defined for singular matrices too."""
-        ctx = self.ctx
-        minor = [
-            [self.entries[r][c] for c in range(ctx.n) if c != j]
-            for r in range(ctx.n) if r != i
-        ]
-        if not minor:
-            return ctx.one
-        det = _eliminate(ctx, minor, False)
+        rows = self.entries[:i] + self.entries[i + 1:]
+        det = _solve(self.ctx, [row[:j] + row[j + 1:] for row in rows], 0)[0]
         return det if (i + j) % 2 == 0 else -det
 
     def __eq__(self, other):
@@ -188,26 +182,31 @@ class DicksonMatrix:
         return f"DicksonMatrix({encs} over {self.ctx!r})"
 
 
-def _eliminate(ctx, rows, jordan):
-    """Row-reduce the n rows in place on their first n columns; return det.
+def _solve(ctx, entries, k):
+    """(det, X) for the square matrix D given by its rows: X[i] is the
+    solution x of x D = e_i, row i of D^-1, for i < k; X is None when D is
+    singular.
 
-    Pivots are the first nonzero entry of each column and are scaled to one;
-    columns past n (right-hand sides) are carried along.  Forward elimination
-    alone leaves a unit upper-triangular block; ``jordan`` also clears above
-    each pivot.  A product is only formed when both operands are nonzero, so
-    an entry costs field work only while it is nonzero.  Returns zero, with
-    the rows partly reduced, on a singular matrix.
+    Forward elimination on [D^T | e_0 ... e_(k-1)] takes the first nonzero
+    entry of each column as its pivot, scales it to one and clears below
+    it; det D is the signed product of the pivots, and the unit
+    upper-triangular system left is solved by back substitution.  A product
+    is only formed when both operands are nonzero, so an entry costs field
+    work only while it is nonzero.  An empty D has det one.
     """
-    n = len(rows)
-    det = ctx.one
+    n = len(entries)
+    det = one = ctx.one
+    rows = [list(col) for col in zip(*entries)]
+    if k:
+        zero = ctx.zero
+        for i, row in enumerate(rows):
+            row += [one if t == i else zero for t in range(k)]
     for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if rows[r][col]:
-                pivot_row = r
+        for pivot_row in range(col, n):
+            if rows[pivot_row][col]:
                 break
-        if pivot_row is None:
-            return ctx.zero
+        else:
+            return ctx.zero, None
         if pivot_row != col:
             rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
             det = -det
@@ -215,38 +214,22 @@ def _eliminate(ctx, rows, jordan):
         det = det * pivot
         pinv = pivot.inv()
         rows[col] = [x * pinv if x else x for x in rows[col]]
-        for r in range(0 if jordan else col + 1, n):
-            if r == col:
-                continue
+        for r in range(col + 1, n):
             factor = rows[r][col]
-            if not factor:
-                continue
-            rows[r] = [x - factor * y if y else x
-                       for x, y in zip(rows[r], rows[col])]
-    return det
-
-
-def _solve_row0(ctx, entries):
-    """(det, x) with x D = e_0 for the square matrix D given by its rows.
-
-    Forward elimination on [D^T | e_0] leaves det D in the pivots and a unit
-    upper-triangular system, solved for x by back substitution; x is row 0
-    of D^-1.  A singular D gives (0, None).
-    """
-    n = len(entries)
-    rows = [[row[i] for row in entries] + [ctx.one if i == 0 else ctx.zero]
-            for i in range(n)]
-    det = _eliminate(ctx, rows, False)
-    if not det:
-        return det, None
-    x = [ctx.zero] * n
-    for i in reversed(range(n)):
-        acc = rows[i][n]
-        for j in range(i + 1, n):
-            if rows[i][j] and x[j]:
-                acc = acc - rows[i][j] * x[j]
-        x[i] = acc
-    return det, x
+            if factor:
+                rows[r] = [x - factor * y if y else x
+                           for x, y in zip(rows[r], rows[col])]
+    solutions = []
+    for t in range(n, n + k):
+        x = [ctx.zero] * n
+        for i in reversed(range(n)):
+            acc = rows[i][t]
+            for j in range(i + 1, n):
+                if rows[i][j] and x[j]:
+                    acc = acc - rows[i][j] * x[j]
+            x[i] = acc
+        solutions.append(x)
+    return det, solutions
 
 
 def is_permutation_dickson(L: LinearizedPoly) -> bool:

@@ -551,6 +551,22 @@ class TestLogTables:
             ctx.zero.inv()
         assert not ctx.has_log_tables
 
+    @pytest.mark.parametrize("p,e,n", [(3, 1, 32), (5, 1, 24)])
+    def test_pow_above_the_cap_reduces_the_exponent(self, p, e, n):
+        # GF(5^24) packs two-byte slots
+        ctx = field_ctx(p, e, n)
+        assert ctx.order > ffield.LOG_TABLE_MAX_ORDER
+        rng = random.Random(p * n)
+        for _ in range(4):
+            x = ctx.random_element(rng) or ctx.one
+            for k in (0, 1, 2, p, ctx.order - 2):
+                want = _power(x.packed, k, ctx._mul, 1)
+                for j in (0, 1, 2, 10**6 + 3):
+                    assert (x ** (k + j * (ctx.order - 1))).packed == want
+        assert ctx.zero ** (ctx.order - 1) == ctx.zero
+        assert ctx.zero ** 0 == ctx.one
+        assert not ctx.has_log_tables
+
     def test_lift_workload_builds_no_table(self):
         # the small fields of the lift benchmark are below the cap, so
         # setting up and lifting must not multiply in them

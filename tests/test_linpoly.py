@@ -1,5 +1,6 @@
 """Linearized polynomials: evaluation, composition, Dickson matrices."""
 
+import itertools
 import random
 
 import pytest
@@ -18,6 +19,20 @@ def encs(obj):
     if isinstance(obj, LinearizedPoly):
         return list(obj.to_encodings())
     return [[c.to_int() for c in row] for row in obj.entries]
+
+
+def leibniz(ctx, rows):
+    """The determinant as the signed sum over permutations of products."""
+    n = len(rows)
+    total = ctx.zero
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b]
+                         for a in range(n) for b in range(a + 1, n))
+        term = ctx.one if inversions % 2 == 0 else -ctx.one
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
 
 
 def matmul(A, B):
@@ -172,6 +187,46 @@ class TestDeterminantAndInverse:
         assert D.cofactor(1, 0) == -D.entries[0][1]
 
 
+class TestAgainstLeibniz:
+    """The elimination against references that share no code with it."""
+
+    @pytest.mark.parametrize("p,e,n", [(3, 1, 2), (5, 1, 2), (2, 2, 3),
+                                       (3, 1, 4)])
+    def test_random_matrices(self, p, e, n):
+        ctx = field_ctx(p, e, n)
+        rng = random.Random(41 * p + n)
+        ident = DicksonMatrix(ctx, [[ctx.one if i == j else ctx.zero
+                                     for j in range(n)] for i in range(n)])
+        singular = 0
+        for trial in range(30):
+            # sparse rows, so that pivots are searched for and rows swapped
+            rows = [[ctx.random_element(rng) if rng.random() < 0.6
+                     else ctx.zero for _ in range(n)] for _ in range(n)]
+            if trial % 3 == 0:
+                # the last row a combination of the others
+                scales = [ctx.random_element(rng) for _ in range(n - 1)]
+                rows[-1] = [sum((c * row[j] for c, row in zip(scales, rows)),
+                                ctx.zero) for j in range(n)]
+            D = DicksonMatrix(ctx, rows)
+            det = leibniz(ctx, rows)
+            assert D.det() == det
+            for i in range(n):
+                for j in range(n):
+                    minor = [[rows[r][c] for c in range(n) if c != j]
+                             for r in range(n) if r != i]
+                    sign = ctx.one if (i + j) % 2 == 0 else -ctx.one
+                    assert D.cofactor(i, j) == sign * leibniz(ctx, minor)
+            if not det:
+                singular += 1
+                with pytest.raises(SingularMatrixError):
+                    D.det_and_inverse()
+                continue
+            det_again, Dinv = D.det_and_inverse()
+            assert det_again == det
+            assert matmul(D, Dinv) == ident == matmul(Dinv, D)
+        assert 10 <= singular < 30
+
+
 class TestPermutationCriterion:
     def test_worked_values(self, f9, L):
         assert is_permutation_dickson(LinearizedPoly.identity(f9))
@@ -276,7 +331,7 @@ class TestAlgebraicStructure:
 
     @pytest.mark.parametrize("p,e,n", SWEEP_FIELDS)
     def test_inverse_poly_has_inverse_matrix(self, p, e, n):
-        # the row-0 solve against full Gauss-Jordan, on dense random L
+        # the row-0 solve against the whole inverse, on dense random L
         ctx = field_ctx(p, e, n)
         rng = random.Random(17 * p + n)
         produced = 0

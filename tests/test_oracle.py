@@ -307,14 +307,15 @@ def break_denominator_check(monkeypatch):
 def break_cofactor_check(monkeypatch):
     """Shift entry (0, 0) of every Dickson inverse, so the cofactor expansion
     of the matrix method disagrees with the determinant whenever a != 0."""
-    real = linpoly._solve_row0
+    real = linpoly._solve
 
-    def faulty(ctx, entries):
-        det, x = real(ctx, entries)
-        x[0] = x[0] + ctx.one
-        return det, x
+    def faulty(ctx, entries, k):
+        det, solutions = real(ctx, entries, k)
+        if solutions:
+            solutions[0][0] = solutions[0][0] + ctx.one
+        return det, solutions
 
-    monkeypatch.setattr(linpoly, "_solve_row0", faulty)
+    monkeypatch.setattr(linpoly, "_solve", faulty)
 
 
 def break_root_check(monkeypatch):
