@@ -27,6 +27,8 @@ class BinomialSpec:
     __slots__ = ("a", "r", "d")
 
     def __init__(self, a: FieldElem, r: int):
+        if not isinstance(a, FieldElem):
+            raise TypeError("a must be a field element")
         n = a.ctx.n
         if not isinstance(r, int) or not 1 <= r <= n - 1:
             raise ValueError(f"r={r} outside [1, {n - 1}]")

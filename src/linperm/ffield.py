@@ -173,17 +173,19 @@ class FieldCtx:
 
     The modulus is the canonical ``find_irreducible(p, e*n)``, so two
     contexts compare equal when (p, e, n) agree; equal contexts are
-    interchangeable.  Everything derived is built lazily and cached on
-    the context, so sharing one context across many operations is cheap and
-    thread-safe in the memoized-recompute sense: the packed columns of each
-    Frobenius power, and, when ``order <= LOG_TABLE_MAX_ORDER``, the log and
-    antilog tables, built by the first product, inverse, power or Frobenius
-    image taken in the context (see :meth:`_log_tables`).  Creating a
-    context, converting encodings and adding never build them.
+    interchangeable.  ``zero`` and ``one`` are built once and shared, as
+    elements are never mutated.  Everything else derived is built lazily
+    and cached on the context, so sharing one context across many
+    operations is cheap and thread-safe in the memoized-recompute sense:
+    the packed columns of each Frobenius power, and, when
+    ``order <= LOG_TABLE_MAX_ORDER``, the log and antilog tables, built by
+    the first product, inverse, power or Frobenius image taken in the
+    context (see :meth:`_log_tables`).  Creating a context, converting
+    encodings and adding never build them.
     """
 
     __slots__ = ("p", "e", "n", "m", "q", "order", "modulus", "packing",
-                 "_frob", "_log", "_exp")
+                 "zero", "one", "_frob", "_log", "_exp")
 
     def __init__(self, p: int, e: int, n: int):
         check_characteristic(p)
@@ -200,6 +202,8 @@ class FieldCtx:
         self.order = p**m
         self.modulus = find_irreducible(p, m)
         self.packing = _kernel.Packing(self.modulus, p)
+        self.zero = FieldElem(self, 0)
+        self.one = FieldElem(self, 1)
         self._frob = {}
         self._log = None
         self._exp = None
@@ -220,14 +224,6 @@ class FieldCtx:
     def modulus_int(self) -> int:
         return coeffs_to_int(self.modulus, self.p)
 
-    @property
-    def zero(self) -> "FieldElem":
-        return FieldElem(self, 0)
-
-    @property
-    def one(self) -> "FieldElem":
-        return FieldElem(self, 1)
-
     def gen(self) -> "FieldElem":
         """The residue of x, the canonical generator of the power basis."""
         return self.from_int(-self.modulus[0] % self.p if self.m == 1
@@ -246,11 +242,6 @@ class FieldCtx:
 
     def random_element(self, rng) -> "FieldElem":
         return self.from_int(rng.randrange(self.order))
-
-    @property
-    def has_log_tables(self) -> bool:
-        """Whether this context's log tables have been built."""
-        return self._log is not None
 
     def _log_tables(self):
         """The log table, built on first use; None above the size cap.

@@ -49,12 +49,11 @@ CHECK_INVERSE = "inverse"
 CHECK_AGREEMENT = "agreement"
 CHECK_LIFT = "lift"
 
-# Work units a sweep counts in ``SweepReport.counts``: Dickson matrices
-# built, eliminations run on them (determinant, cofactor, row-0 solve),
-# brute-force image tables, direct evaluations that spot-check those tables,
-# lifts, and field contexts whose log tables the sweep built.
-COUNTS = ("dickson_matrices", "eliminations", "tables", "direct_evaluations",
-          "lifts", "log_tables")
+# Work units a sweep counts in ``SweepReport.counts``: eliminations run on
+# Dickson matrices (determinant, cofactor, row-0 solve), brute-force image
+# tables, and the direct evaluations that spot-check those tables.  Each is
+# a function of the ``SweepConfig`` alone.
+COUNTS = ("eliminations", "tables", "direct_evaluations")
 
 
 def _require_capacity(ctx: FieldCtx):
@@ -174,9 +173,9 @@ class SweepFailure(collections.namedtuple(
 class SweepReport:
     """What a sweep checked and what failed.
 
-    ``timings`` (seconds per check family) and ``counts`` (work units, see
-    ``COUNTS``) are left out of comparisons: a context's log tables are
-    built once per process, so a repeated sweep counts none.
+    ``timings`` (seconds per check family) are left out of comparisons;
+    ``counts`` (work units, see ``COUNTS``) repeat with the config and are
+    compared.
     """
 
     def __init__(self, config: SweepConfig):
@@ -191,7 +190,8 @@ class SweepReport:
 
     def _key(self):
         return (self.config, self.cases, self.permutation_cases,
-                self.cofactor_checks, self.lift_checks, self.failures)
+                self.cofactor_checks, self.lift_checks, self.failures,
+                self.counts)
 
     def __eq__(self, other):
         if not isinstance(other, SweepReport):
@@ -288,25 +288,23 @@ def sweep(cfg: SweepConfig) -> SweepReport:
     q^gcd(n, r) kernel elements; for permutations, the closed-form inverse
     must compose to the identity both ways and match the matrix-method
     inverse (and the special forms where they apply); for r = 1 the cofactor
-    closed forms are checked; and permutations are lifted to every
-    admissible bigger field and rechecked exhaustively.  L's Dickson matrix
-    is built once per case and serves the determinant, cofactor and
-    matrix-inverse checks.  The work done is counted per unit in
-    ``report.counts`` (see ``COUNTS``).  Failures are collected, not
-    raised: an internal consistency check that raises ``AssertionError``
-    (the denominator check of the norm criterion, the cofactor check of the
-    matrix method, the root check of the embedding) is recorded under its
-    check family and the case moves on.  The grid order is fixed, so
-    reports are reproducible.
+    closed forms are checked; and permutations are lifted by every factor t
+    coprime to n whose field fits the cap, t = 1 included, and rechecked
+    exhaustively.  L's Dickson matrix is built once per case and serves the
+    determinant, cofactor and matrix-inverse checks, and a lift equal to L
+    (every t = 1 lift) is checked on L's own table.  The work done is
+    counted per unit in ``report.counts`` (see ``COUNTS``).  Failures are
+    collected, not raised: an internal consistency check that raises
+    ``AssertionError`` (the denominator check of the norm criterion, the
+    cofactor check of the matrix method, the root check of the embedding)
+    is recorded under its check family and the case moves on.  The grid
+    order is fixed, so reports are reproducible.
     """
     report = SweepReport(config=cfg)
     timings = report.timings
     counts = report.counts
-    untabled = set()            # contexts seen before their log tables
     for p, e, n in _grid(cfg):
         ctx = field_ctx(p, e, n)
-        if not ctx.has_log_tables:
-            untabled.add(ctx)
         identity = LinearizedPoly.identity(ctx)
         lift_ts = [
             t for t in range(1, MAX_T + 1)
@@ -342,7 +340,6 @@ def sweep(cfg: SweepConfig) -> SweepReport:
                         perm_norm = None
                     D = L.dickson_matrix()
                     det = D.det()
-                    counts["dickson_matrices"] += 1
                     counts["eliminations"] += 1
                     perm_det = bool(det)
                     img = table(L, "polynomial")
@@ -400,16 +397,14 @@ def sweep(cfg: SweepConfig) -> SweepReport:
                 with _Timer(timings, CHECK_LIFT):
                     for t in lift_ts:
                         big = field_ctx(p, e * t, n)
-                        if not big.has_log_tables:
-                            untabled.add(big)
                         report.lift_checks += 1
-                        counts["lifts"] += 1
                         try:
                             lifted = binomial.lift(L, t, big)
                         except AssertionError as exc:
                             fail(CHECK_LIFT, f"embedding: {exc}", t=t)
                             continue
-                        img_big = table(lifted, "lift", t=t)
+                        img_big = (img if lifted == L
+                                   else table(lifted, "lift", t=t))
                         if _kernel_size(img_big) != 1:
                             fail(CHECK_LIFT, "lift is not a permutation", t=t)
                             continue
@@ -419,5 +414,4 @@ def sweep(cfg: SweepConfig) -> SweepReport:
                                 != list(map(emb.__getitem__, img))):
                             fail(CHECK_LIFT, "disagrees with the source on "
                                  "the embedded subfield", t=t)
-    counts["log_tables"] = sum(c.has_log_tables for c in untabled)
     return report

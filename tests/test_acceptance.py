@@ -67,6 +67,15 @@ def test_criterion_4_cofactor_closed_forms(report):
              f"r=1, {len(failures)} failures")
 
 
+def test_sweep_work_counts(report):
+    # the grid's size and work are functions of GRID_CFG alone; every t = 1
+    # lift is checked on its case's table, so only 36 lifts build their own
+    assert (report.cases, report.permutation_cases, report.cofactor_checks,
+            report.lift_checks) == (19394, 11260, 31702, 11296)
+    assert report.counts == {"eliminations": 56166, "tables": 30690,
+                             "direct_evaluations": 122745}
+
+
 def test_criterion_5_matrix_inverse_identity():
     rng = random.Random(424242)
     contexts = [field_ctx(p, e, n) for p, e, n in _grid(GRID_CFG)]

@@ -1,13 +1,15 @@
 """Binomial permutation criterion, closed-form inverses, and lifting."""
 
 import math
+import random
 
 import pytest
 
 from linperm import (BinomialSpec, LinearizedPoly, NotAPermutationError,
-                     UnsupportedShapeError, brute_is_permutation,
+                     SweepConfig, UnsupportedShapeError, brute_is_permutation,
                      embed_subfield, field_ctx, inverse_binomial, inverse_dickson, inverse_special,
                      is_permutation_binomial, is_permutation_dickson, lift)
+from linperm.oracle import _grid
 
 SMALL_FIELDS = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 2, 2), (3, 1, 2),
                 (3, 1, 3), (5, 1, 2), (3, 1, 4), (2, 1, 6)]
@@ -35,6 +37,12 @@ class TestSpec:
             BinomialSpec(f9.one, 0)
         with pytest.raises(ValueError):
             BinomialSpec(f9.one, 2)
+
+    def test_a_must_be_a_field_element(self, f9):
+        with pytest.raises(TypeError, match="field element"):
+            BinomialSpec(5, 1)
+        with pytest.raises(TypeError, match="field element"):
+            BinomialSpec(None, 1)
 
 
 class TestPermutationCriterion:
@@ -201,10 +209,20 @@ class TestMethodAgreement:
 
 
 class TestLift:
-    def test_identity_extension(self, f9):
-        L = LinearizedPoly.from_encodings(f9, [4, 1])
-        lifted = lift(L, 1, f9)
-        assert lifted == L
+    @pytest.mark.parametrize("p,e,n", list(_grid(SweepConfig())))
+    def test_identity_extension(self, p, e, n):
+        # the sweep checks a lift equal to its source on the source's own
+        # table; every t = 1 lift must be one, on every context it sweeps
+        ctx = field_ctx(p, e, n)
+        rng = random.Random(1000 * p + 100 * e + n)
+        for r in range(1, n):
+            for enc in [0, 1] + [rng.randrange(ctx.order) for _ in range(4)]:
+                L = BinomialSpec(ctx.from_int(enc), r).poly()
+                assert lift(L, 1, ctx) == L
+        xs = [ctx.zero, ctx.one, ctx.gen()]
+        xs += [ctx.random_element(rng) for _ in range(8)]
+        for x in xs:
+            assert embed_subfield(x, ctx) == x
 
     def test_worked_case(self, f9, f729):
         L = LinearizedPoly.from_encodings(f9, [4, 1])
