@@ -7,7 +7,6 @@ or :func:`inverse_dickson` (matrix method), and cross-check everything
 exhaustively through the :mod:`linperm.oracle` module.
 """
 
-from . import _kernel
 from .binomial import (BinomialSpec, inverse_binomial, inverse_special,
                        is_permutation_binomial, lift)
 from .errors import (CapacityError, ContextMismatchError, NotAPermutationError,
@@ -28,7 +27,7 @@ def kernel_backend() -> str:
     The pure-Python kernels in ``_corepy`` are the only backend, so this is
     always "python".
     """
-    return _kernel.BACKEND
+    return "python"
 
 
 __all__ = [

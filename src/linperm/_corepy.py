@@ -15,8 +15,6 @@ these through ``_kernel``; digit vectors appear only at the text boundary
 
 from operator import mul
 
-BACKEND = "python"
-
 
 class Packing:
     """Slot width, the packed modulus and ``fold[k]`` = packed x^(m+k) mod

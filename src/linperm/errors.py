@@ -14,15 +14,9 @@ class SingularMatrixError(ArithmeticError):
 
 
 class NotAPermutationError(ArithmeticError):
-    """Compositional inverse requested for a non-permutation polynomial.
-
-    ``criterion_value`` carries the field element whose inequality with 1
-    decides the permutation property, when the caller supplied it.
-    """
-
-    def __init__(self, message, criterion_value=None):
-        super().__init__(message)
-        self.criterion_value = criterion_value
+    """Closed-form or special-form inverse requested for a binomial that
+    does not permute the field, that is, whose criterion value
+    (-1)^(n/d) * N(a) is 1."""
 
 
 class UnsupportedShapeError(ValueError):

@@ -16,6 +16,7 @@ call.  Fields above ``MAX_EXHAUSTIVE_ORDER`` elements are refused, and
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
 import math
 import random
@@ -218,20 +219,14 @@ class SweepReport:
         return "\n".join(lines)
 
 
-class _Timer:
-    """Accumulates wall time per check family."""
-
-    def __init__(self, sink: dict, key: str):
-        self.sink = sink
-        self.key = key
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-
-    def __exit__(self, *exc):
-        self.sink[self.key] = self.sink.get(self.key, 0.0) + (
-            time.perf_counter() - self.start)
-        return False
+@contextlib.contextmanager
+def _timer(sink: dict, key: str):
+    """Adds the wall time of the block to ``sink[key]``, also if it raises."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        sink[key] = sink.get(key, 0.0) + time.perf_counter() - start
 
 
 def _grid(cfg: SweepConfig):
@@ -246,14 +241,16 @@ def _grid(cfg: SweepConfig):
                 yield p, e, n
 
 
-def _check_cofactors(ctx, spec, D, det, failures):
+def _check_cofactors(ctx, spec, D, det):
     """Closed forms of the first-column cofactors of D for r = 1, a != 0.
 
     cofactor(i,0) = (-1)^i N(a) a^-(1+q+...+q^i) for i < n - 1,
     cofactor(n-1,0) = (-1)^(n-1), and the determinant ``det`` of D is
     N(a) + (-1)^(n-1); all hold whether or not the binomial permutes.  The
     prefix products a^-(1+q+...+q^i) come from one running chain of
-    conjugates of 1/a, one Frobenius and one multiply per step.
+    conjugates of 1/a, one Frobenius and one multiply per step.  Returns
+    the number of checks and the (name, got, expected) encodings of those
+    that fail.
     """
     n = ctx.n
     a = spec.a
@@ -271,13 +268,9 @@ def _check_cofactors(ctx, spec, D, det, failures):
     sign = binomial._sign(ctx, n - 1)
     checks.append((f"cof{n - 1}", D.cofactor(n - 1, 0), sign))
     checks.append(("det", det, nor + sign))
-    out = []
-    for name, got, expected in checks:
-        if got != expected:
-            out.append((name, got.to_int(), expected.to_int()))
-    if out:
-        failures.append(f"cofactor mismatches {out}")
-    return len(checks)
+    mismatches = [(name, got.to_int(), expected.to_int())
+                  for name, got, expected in checks if got != expected]
+    return len(checks), mismatches
 
 
 def sweep(cfg: SweepConfig) -> SweepReport:
@@ -332,7 +325,7 @@ def sweep(cfg: SweepConfig) -> SweepReport:
                              f"direct evaluation at {bad}", t=t)
                     return img
 
-                with _Timer(timings, CHECK_CRITERION):
+                with _timer(timings, CHECK_CRITERION):
                     try:
                         perm_norm = binomial.is_permutation_binomial(spec)
                     except AssertionError as exc:
@@ -357,26 +350,26 @@ def sweep(cfg: SweepConfig) -> SweepReport:
                              f"norm={perm_norm} det={perm_det} brute={perm_brute}")
 
                 if r == 1 and enc_a != 0:
-                    with _Timer(timings, CHECK_COFACTORS):
-                        failures = []
-                        report.cofactor_checks += _check_cofactors(
-                            ctx, spec, D, det, failures)
+                    with _timer(timings, CHECK_COFACTORS):
+                        checks, mismatches = _check_cofactors(ctx, spec, D, det)
+                        report.cofactor_checks += checks
                         counts["eliminations"] += n  # one per cofactor
-                        for detail in failures:
-                            fail(CHECK_COFACTORS, detail)
+                        if mismatches:
+                            fail(CHECK_COFACTORS,
+                                 f"cofactor mismatches {mismatches}")
 
                 if not (agree and perm_norm):
                     continue
                 report.permutation_cases += 1
 
-                with _Timer(timings, CHECK_INVERSE):
+                with _timer(timings, CHECK_INVERSE):
                     M = binomial.inverse_binomial(spec)
                     if L.compose(M) != identity or M.compose(L) != identity:
                         fail(CHECK_INVERSE, "composition is not the identity")
                     elif not _inverts(img, table(M, "inverse")):
                         fail(CHECK_INVERSE, "pointwise inverse check failed")
 
-                with _Timer(timings, CHECK_AGREEMENT):
+                with _timer(timings, CHECK_AGREEMENT):
                     counts["eliminations"] += 1
                     try:
                         M_dickson = D.inverse_poly()
@@ -394,7 +387,7 @@ def sweep(cfg: SweepConfig) -> SweepReport:
                                  f"shape {shape} gave {M_special.to_encodings()}, "
                                  f"closed form {M.to_encodings()}")
 
-                with _Timer(timings, CHECK_LIFT):
+                with _timer(timings, CHECK_LIFT):
                     for t in lift_ts:
                         big = field_ctx(p, e * t, n)
                         report.lift_checks += 1

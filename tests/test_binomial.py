@@ -122,9 +122,8 @@ class TestInverseBinomial:
         assert M.to_encodings() == (7, 2)
 
     def test_rejects_non_permutation(self, f9):
-        with pytest.raises(NotAPermutationError) as info:
+        with pytest.raises(NotAPermutationError):
             inverse_binomial(BinomialSpec(f9.from_int(3), 1))
-        assert info.value.criterion_value == f9.one
 
     @pytest.mark.parametrize("p,e,n", SMALL_FIELDS)
     def test_composes_to_identity(self, p, e, n):

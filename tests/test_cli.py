@@ -92,6 +92,21 @@ class TestInvert:
         assert "not a permutation" in err
         assert "N(a)" in err and "1" in err
 
+    def test_non_permutation_is_one_line_for_every_method(self, capsys):
+        for method in ("closed", "dickson", "special"):
+            code, out, err = run(capsys, "invert", "--p", "3", "--e", "1",
+                                 "--n", "2", "--r", "1", "--a", "3",
+                                 "--method", method)
+            assert code == 1 and out == ""
+            assert err == "error: not a permutation: (-1)^(n/d) * N(a) = 1\n"
+
+    def test_no_special_form(self, capsys):
+        code, out, err = run(capsys, "invert", "--p", "2", "--e", "1",
+                             "--n", "6", "--r", "2", "--a", "1",
+                             "--method", "special")
+        assert code == 1 and out == ""
+        assert err == "error: r=2, n=6 fits none of the special forms\n"
+
     def test_methods_agree_everywhere(self, capsys):
         for a in range(9):
             results = {}
@@ -225,6 +240,12 @@ class TestBench:
         assert code == 0
         assert out.strip() == ""
 
+    def test_negative_trials(self, capsys):
+        code, out, err = run(capsys, "bench", "--p", "3", "--e", "1", "--n", "2",
+                             "--trials", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: trials must be nonnegative\n"
+
     def test_zero_trials_still_checks_r(self, capsys):
         code, out, err = run(capsys, "bench", "--p", "3", "--e", "1", "--n", "4",
                              "--r", "9", "--trials", "0")
@@ -258,7 +279,7 @@ class TestParsing:
              "--n", "2"],
             capture_output=True, text=True)
         assert proc.returncode == 0
-        assert "modulus: 10" in proc.stdout
+        assert proc.stdout.splitlines() == ["modulus: 10", "order: 9"]
 
     def test_output_is_deterministic(self, capsys):
         argv = ["lift", "--p", "3", "--e", "1", "--n", "2", "--r", "1",

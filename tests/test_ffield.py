@@ -248,6 +248,12 @@ class TestArithmetic:
         with pytest.raises(ContextMismatchError):
             f9.one + other.one
 
+    def test_bare_int_operand(self, f9):
+        with pytest.raises(TypeError, match="expected a field element"):
+            f9.one + 1
+        with pytest.raises(TypeError, match="expected a field element"):
+            f9.one * 1
+
     @pytest.mark.parametrize("p,e,n", EXHAUSTIVE_FIELDS)
     def test_field_laws(self, p, e, n):
         ctx = field_ctx(p, e, n)

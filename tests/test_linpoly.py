@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from linperm import (BinomialSpec, DicksonMatrix, FieldElem, LinearizedPoly,
-                     SingularMatrixError, SweepConfig, brute_is_permutation,
-                     field_ctx, inverse_dickson, is_permutation_dickson, oracle)
+from linperm import (BinomialSpec, ContextMismatchError, DicksonMatrix,
+                     FieldElem, LinearizedPoly, SingularMatrixError,
+                     SweepConfig, brute_is_permutation, field_ctx,
+                     inverse_dickson, is_permutation_dickson, oracle)
 
 from conftest import EXHAUSTIVE_FIELDS
 
@@ -78,6 +79,21 @@ class TestEval:
         with pytest.raises(ValueError):
             LinearizedPoly(f9, [f9.one, f9.one, f9.one])
 
+    def test_coefficients_must_be_elements_of_the_context(self, f9):
+        with pytest.raises(TypeError):
+            LinearizedPoly(f9, [f9.one, 1])
+        with pytest.raises(ContextMismatchError):
+            LinearizedPoly(f9, [f9.one, field_ctx(3, 2, 1).one])
+
+    def test_argument_from_another_context(self, f9, L):
+        # GF(9) as (3, 2, 1) is the same field in another tower
+        with pytest.raises(ContextMismatchError):
+            L.eval(field_ctx(3, 2, 1).one)
+
+    def test_monomial_slot_is_checked(self, f9):
+        with pytest.raises(ValueError):
+            LinearizedPoly.monomial(f9, 2)
+
 
 class TestCompose:
     def test_monomials_cancel(self, f9):
@@ -131,6 +147,10 @@ class TestDicksonMatrix:
 
     def test_row_zero_recovers_poly(self, L):
         assert L.dickson_matrix().poly() == L
+
+    def test_shape_is_checked(self, f9):
+        with pytest.raises(ValueError):
+            DicksonMatrix(f9, [[f9.one]])
 
 
 class TestDeterminantAndInverse:

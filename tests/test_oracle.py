@@ -8,8 +8,9 @@ from linperm import (BinomialSpec, CapacityError, ContextMismatchError,
                      is_permutation_binomial, sweep, verify_inverse)
 from linperm import _kernel, binomial, ffield, linpoly, oracle
 from linperm.cli import main
-from linperm.oracle import (CHECK_AGREEMENT, CHECK_CRITERION, CHECK_INVERSE,
-                            CHECK_LIFT, MAX_EXHAUSTIVE_ORDER, SweepFailure)
+from linperm.oracle import (CHECK_AGREEMENT, CHECK_COFACTORS, CHECK_CRITERION,
+                            CHECK_INVERSE, CHECK_LIFT, MAX_EXHAUSTIVE_ORDER,
+                            SweepFailure)
 
 
 @pytest.fixture
@@ -195,6 +196,31 @@ class TestSweep:
         assert report.lift_checks == report.permutation_cases > 0
         assert counts["tables"] == report.cases + report.permutation_cases
         assert counts["direct_evaluations"] > counts["tables"]
+
+    def test_cofactor_fault_is_one_record_per_case(self, monkeypatch):
+        # shift every cofactor (0, j) by one: cof0 fails for each of the 8
+        # nonzero a, and nothing else reads a cofactor
+        real = linpoly.DicksonMatrix.cofactor
+
+        def shifted(self, i, j):
+            value = real(self, i, j)
+            return value + self.ctx.one if i == 0 else value
+
+        monkeypatch.setattr(linpoly.DicksonMatrix, "cofactor", shifted)
+        report = sweep(GF9_GRID)
+        assert (report.cases, report.cofactor_checks) == (9, 24)
+        assert len(report.failures) == 8
+        assert report.failures_for(CHECK_COFACTORS) == report.failures
+        assert report.failures[0] == SweepFailure(
+            3, 1, 2, 1, 1, None, CHECK_COFACTORS,
+            "cofactor mismatches [('cof0', 2, 1)]")
+
+    def test_timer_counts_a_block_that_raises(self):
+        timings = {}
+        with pytest.raises(KeyError):
+            with oracle._timer(timings, CHECK_LIFT):
+                raise KeyError
+        assert set(timings) == {CHECK_LIFT} and timings[CHECK_LIFT] >= 0
 
     def test_report_format(self):
         report = sweep(SweepConfig(max_field_order=9, primes=(3,)))
