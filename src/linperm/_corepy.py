@@ -199,14 +199,20 @@ def _translate(shift, p):
     return row
 
 
-def eval_all(coeff_rows, frob_maps, pk):
-    """Evaluate sum_i c_i * F_i(x) at every element of GF(p^m).
+def eval_all(rows, maps, pk):
+    """Evaluate the GF(p)-linear map x -> sum_i c_i * F_i(x) into the field
+    of ``pk`` at every element x of its domain.
 
-    ``coeff_rows[i]`` is the packed coefficient c_i and ``frob_maps[i]`` the
-    packed columns of the Frobenius power attached to term i.  Elements are
-    enumerated in encoding order; entry enc(x) of the result is enc(value).
+    ``rows[i]`` is the packed coefficient c_i and ``maps[i]`` the
+    packed images under F_i of the domain's basis vectors: the columns of a
+    Frobenius power for a term of a linearized polynomial, or those of a
+    subfield embedding.  The domain dimension is the number of columns; a
+    map with no terms is zero on the field of ``pk``.  Elements of the
+    domain are enumerated in encoding order, the base-p digits of enc(x)
+    being x's coordinates in that basis; entry enc(x) of the result is
+    enc(value).
 
-    The map is GF(p)-linear, so it is evaluated directly only on the m basis
+    The map is GF(p)-linear, so it is evaluated directly only on the basis
     vectors, sum_i c_i * (column k of F_i), in slots wide enough for all
     terms (repacked when wider than the field's) and reduced once.  The
     table is then filled digit by digit by
@@ -216,13 +222,12 @@ def eval_all(coeff_rows, frob_maps, pk):
     the translation by col_k is read off one precomputed row per half.
     """
     m, p = pk.m, pk.p
-    w = _width(len(coeff_rows) * m * (p - 1) ** 2 + p)
-    rows, maps = coeff_rows, frob_maps
+    w = _width(len(rows) * m * (p - 1) ** 2 + p)
     if w != pk.width:
         rows = [_pack(digits(c, pk), w) for c in rows]
         maps = [[_pack(digits(c, pk), w) for c in cols] for cols in maps]
     cols = []
-    for k in range(m):
+    for k in range(len(maps[0]) if maps else m):
         acc = sum(row * fm[k] for row, fm in zip(rows, maps))
         cols.append(digits(_reduce(_slots(acc, 2 * m - 1, w, pk), pk), pk))
     out = [0]

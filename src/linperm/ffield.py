@@ -346,10 +346,6 @@ class FieldElem:
             return ctx.zero
         return FieldElem(ctx, ctx._exp[la + lb])
 
-    def __truediv__(self, other):
-        other = self._peer(other)
-        return self * other.inv()
-
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
             return NotImplemented

@@ -129,10 +129,6 @@ class DicksonMatrix:
         self.ctx = ctx
         self.entries = entries
 
-    def poly(self) -> LinearizedPoly:
-        """The linearized polynomial whose coefficients are row 0."""
-        return LinearizedPoly(self.ctx, self.entries[0])
-
     def det(self) -> FieldElem:
         return _solve(self.ctx, self.entries, 0)[0]
 

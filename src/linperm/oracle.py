@@ -24,20 +24,12 @@ import time
 
 from . import _kernel, binomial
 from .errors import CapacityError, ContextMismatchError
-from .ffield import (FieldCtx, check_characteristic, embed_subfield,
+from .ffield import (FieldCtx, _embedding_powers, check_characteristic,
                      field_ctx)
 from .linpoly import LinearizedPoly
 
 # Hard safety cap on exhaustive enumeration, in field elements.
 MAX_EXHAUSTIVE_ORDER = 1_000_000
-
-# Structural bounds of the sweep grid: the extension degree n, the exponent
-# e of q = p^e, and the lift factor t.  Below a field-order cap of 2^17
-# the cap alone decides the grid; MAX_N first binds at 2^17 and MAX_E and
-# MAX_T at 2^18.
-MAX_N = 16
-MAX_E = 8
-MAX_T = 8
 
 # Non-basis elements per table that are re-evaluated directly, and the seed
 # that picks them.
@@ -133,8 +125,9 @@ def verify_inverse(L: LinearizedPoly, M: LinearizedPoly) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def _embedding_table(small: FieldCtx, big: FieldCtx) -> list[int]:
-    """enc_big(embed(x)) for every small element x, in encoding order."""
-    return [embed_subfield(x, big).to_int() for x in small.elements()]
+    """enc_big(embed(x)) for every small element x, in encoding order,
+    filled by the kernel from the embedding's columns."""
+    return _kernel.eval_all([1], [_embedding_powers(small, big)], big.packing)
 
 
 class SweepConfig(collections.namedtuple(
@@ -142,8 +135,8 @@ class SweepConfig(collections.namedtuple(
     """Bounds for the cross-validation grid; immutable and hashable.
 
     ``max_field_order`` caps p^(e*n) for exhaustive checks, lifted fields
-    included, and may not exceed the module safety cap; the module constants
-    ``MAX_E``, ``MAX_N`` and ``MAX_T`` bound e, n and the lift factor t.
+    included, and alone bounds e, n and the lift factor t; it may not exceed
+    the module safety cap.
     Every entry of ``primes`` must be a prime no larger than ``MAX_PRIME``.
     """
 
@@ -230,15 +223,21 @@ def _timer(sink: dict, key: str):
 
 
 def _grid(cfg: SweepConfig):
-    """(p, e, n) triples in lexicographic order within the bounds."""
+    """(p, e, n) triples, n >= 2, in lexicographic order with p^(e*n)
+    within the cap, which needs e*n < cap.bit_length() as p >= 2."""
+    cap = cfg.max_field_order
     for p in sorted(set(cfg.primes)):
-        for e in range(1, MAX_E + 1):
-            if p ** (2 * e) > cfg.max_field_order:
-                break
-            for n in range(2, MAX_N + 1):
-                if p ** (e * n) > cfg.max_field_order:
-                    break
-                yield p, e, n
+        for e in range(1, cap.bit_length()):
+            for n in range(2, cap.bit_length()):
+                if p ** (e * n) <= cap:
+                    yield p, e, n
+
+
+def _lift_factors(p, e, n, cap):
+    """Every lift factor t >= 1 of GF((p^e)^n) coprime to n whose field
+    GF((p^(e*t))^n) fits the cap, in increasing order."""
+    return [t for t in range(1, cap.bit_length())
+            if math.gcd(t, n) == 1 and p ** (e * n * t) <= cap]
 
 
 def _check_cofactors(ctx, spec, D, det):
@@ -299,10 +298,7 @@ def sweep(cfg: SweepConfig) -> SweepReport:
     for p, e, n in _grid(cfg):
         ctx = field_ctx(p, e, n)
         identity = LinearizedPoly.identity(ctx)
-        lift_ts = [
-            t for t in range(1, MAX_T + 1)
-            if math.gcd(t, n) == 1 and p ** (e * n * t) <= cfg.max_field_order
-        ]
+        lift_ts = _lift_factors(p, e, n, cfg.max_field_order)
         for r in range(1, n):
             for enc_a in range(ctx.order):
                 report.cases += 1
@@ -340,10 +336,10 @@ def sweep(cfg: SweepConfig) -> SweepReport:
                     perm_brute = kernel == 1
                     if kernel is None:
                         fail(CHECK_CRITERION, "image and kernel checks disagree")
-                    elif kernel not in (1, ctx.q ** math.gcd(n, r)):
+                    elif kernel not in (1, ctx.q ** spec.d):
                         # x^(q^r - 1) = -a has 0 or q^d - 1 nonzero solutions
                         fail(CHECK_CRITERION, f"kernel has {kernel} elements, "
-                             f"expected {ctx.q ** math.gcd(n, r)}")
+                             f"expected {ctx.q ** spec.d}")
                     agree = perm_norm == perm_det == perm_brute
                     if not agree:
                         fail(CHECK_CRITERION,

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from linperm import field_ctx, oracle
@@ -24,8 +22,6 @@ def sweep_contexts(cap):
     cfg = oracle.SweepConfig(max_field_order=cap)
     out = set()
     for p, e, n in oracle._grid(cfg):
-        out.add((p, e, n))
-        for t in range(2, oracle.MAX_T + 1):
-            if math.gcd(t, n) == 1 and p ** (e * n * t) <= cap:
-                out.add((p, e * t, n))
+        out.update((p, e * t, n)
+                   for t in oracle._lift_factors(p, e, n, cap))
     return sorted(out)

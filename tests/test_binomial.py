@@ -153,8 +153,8 @@ class TestInverseBinomial:
                 assert not is_permutation_binomial(spec)
                 continue
             coeffs = [ctx.zero] * n
-            coeffs[0] = b / den
-            coeffs[h] = -(ctx.one / den)
+            coeffs[0] = b * den.inv()
+            coeffs[h] = -den.inv()
             assert inverse_binomial(spec) == LinearizedPoly(ctx, coeffs)
 
 

@@ -119,6 +119,25 @@ class TestInverseTable:
             inverse_binomial(BinomialSpec(f9.from_int(3), 1))
 
 
+class TestEmbeddingTable:
+    """The lift check's embedding tables, filled by the kernel from the
+    columns of the embedding."""
+
+    def test_matches_per_element_embedding(self):
+        # every (small, big) pair a cap-729 sweep touches, t = 1 included,
+        # built uncached against one embed_subfield call per element
+        pairs = [(field_ctx(p, e, n), field_ctx(p, e * t, n))
+                 for p, e, n in oracle._grid(SweepConfig(max_field_order=729))
+                 for t in oracle._lift_factors(p, e, n, 729)]
+        assert len(pairs) == 30
+        assert sum(small != big for small, big in pairs) == 4
+        for small, big in pairs:
+            reference = [ffield.embed_subfield(x, big).to_int()
+                         for x in small.elements()]
+            got = oracle._embedding_table.__wrapped__(small, big)
+            assert got == reference, (small, big)
+
+
 class TestSweepConfig:
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
@@ -145,16 +164,17 @@ class TestSweep:
         assert expected == 5
         assert report.permutation_cases == expected
 
-    def test_structural_bounds_bind_above_the_order_cap(self):
-        # below 2^17 the order cap alone bounds the grid; the constants keep
-        # n <= 16 at 2^17 and e <= 8 at 2^18, where the cap would admit more
-        assert (oracle.MAX_N, oracle.MAX_E, oracle.MAX_T) == (16, 8, 8)
+    def test_the_order_cap_alone_bounds_the_grid(self):
+        # GF(2^17) admits n = 17, GF(4^9) = GF(2^18) admits e = 9, and
+        # GF(2^2) lifts into GF((2^9)^2) = GF(2^18) with t = 9
         ns = [n for _, _, n in oracle._grid(
             SweepConfig(max_field_order=2**17, primes=(2,)))]
-        assert max(ns) == 16
+        assert max(ns) == 17
         es = [e for _, e, _ in oracle._grid(
             SweepConfig(max_field_order=2**18, primes=(2,)))]
-        assert max(es) == 8
+        assert max(es) == 9
+        assert oracle._lift_factors(2, 1, 2, 2**18) == [1, 3, 5, 7, 9]
+        assert oracle._lift_factors(2, 1, 2, 2**18 - 1) == [1, 3, 5, 7]
 
     def test_empty_prime_list(self):
         report = sweep(SweepConfig(primes=()))
@@ -256,7 +276,9 @@ class TestDirectCheck:
             return img
 
         monkeypatch.setattr(_kernel, "eval_all", eval_all)
-        return target
+        yield target
+        # embedding tables built under the corruption must not stay cached
+        oracle._embedding_table.cache_clear()
 
     def test_sample_avoids_basis_and_is_seeded(self):
         ctx = field_ctx(3, 1, 4)
