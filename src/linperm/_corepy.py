@@ -106,12 +106,6 @@ def submod(a, b, pk):
     return _norm(a + pk._ps - b, pk)
 
 
-def negmod(a, pk):
-    if pk.p == 2:
-        return a
-    return _norm(pk._ps - a, pk)
-
-
 def mulmod(a, b, pk):
     """Product of two packed elements modulo ``pk.mod``."""
     return _reduce(_slots(a * b, 2 * pk.m - 1, pk.width, pk), pk)

@@ -6,9 +6,9 @@ replaced or traced here without touching ``_corepy``'s calls to itself.
 """
 
 from ._corepy import (Packing, addmod, coprime, digits, eval_all, from_digits,
-                      identity_cols, invmod, matvec, mulmod, negmod,
+                      identity_cols, invmod, matvec, mulmod,
                       next_frobenius_cols, submod)
 
 __all__ = ["Packing", "addmod", "coprime", "digits", "eval_all", "from_digits",
-           "identity_cols", "invmod", "matvec", "mulmod", "negmod",
+           "identity_cols", "invmod", "matvec", "mulmod",
            "next_frobenius_cols", "submod"]

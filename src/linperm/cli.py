@@ -144,8 +144,8 @@ def _sample_permutation_spec(ctx, r, rng):
 def run_bench(p, e, n, r, trials):
     """Time the closed-form inverse against the matrix-method inverse.
 
-    Returns (closed_ns, dickson_ns, agree) as mean wall nanoseconds per
-    trial plus the coefficientwise equality of the outputs on every trial.
+    Returns (closed_ns, dickson_ns, agree): mean wall nanoseconds over
+    ``trials`` >= 1 trials, and whether the outputs agreed on every trial.
     """
     ctx = field_ctx(p, e, n)
     rng = random.Random(BENCH_SEED)
@@ -162,8 +162,6 @@ def run_bench(p, e, n, r, trials):
         generic = linpoly.inverse_dickson(L)
         dickson_total += time.perf_counter_ns() - start
         agree = agree and closed == generic
-    if trials == 0:
-        return 0, 0, True
     return closed_total // trials, dickson_total // trials, agree
 
 
@@ -174,8 +172,7 @@ def cmd_bench(args):
     if not 1 <= args.r <= ctx.n - 1:
         raise CliError(f"r={args.r} outside [1, {ctx.n - 1}]")
     if args.trials == 0:
-        if args.json:
-            print(json.dumps({}))
+        _emit(args, [])
         return 0
     closed_ns, dickson_ns, agree = run_bench(
         args.p, args.e, args.n, args.r, args.trials)
@@ -246,7 +243,3 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

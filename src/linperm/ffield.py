@@ -123,7 +123,7 @@ def _is_irreducible(f, p: int) -> bool:
     if f[0] == 0:
         return False
     pk = _kernel.Packing(f, p)
-    t = x = 1 << 8 * pk.width
+    t = x = _kernel.from_digits((0, 1), pk)
     for _ in range(m // 2):
         t = _power(t, p, lambda a, b: _kernel.mulmod(a, b, pk), 1)
         if not _kernel.coprime(pk.mod, _kernel.submod(t, x, pk), pk):
@@ -331,7 +331,7 @@ class FieldElem:
             self.packed, other.packed, self.ctx.packing))
 
     def __neg__(self):
-        return FieldElem(self.ctx, _kernel.negmod(self.packed, self.ctx.packing))
+        return FieldElem(self.ctx, _kernel.submod(0, self.packed, self.ctx.packing))
 
     def __mul__(self, other):
         other = self._peer(other)
@@ -527,7 +527,7 @@ def _split_root(f, pk, rng):
             if 2 * len(d) > len(g) + 1:
                 d = _edivmod(g, d, pk)[0]
             g = d
-    return _kernel.negmod(g[0], pk)
+    return _kernel.submod(0, g[0], pk)
 
 
 @functools.lru_cache(maxsize=None)

@@ -240,23 +240,23 @@ def _lift_factors(p, e, n, cap):
             if math.gcd(t, n) == 1 and p ** (e * n * t) <= cap]
 
 
-def _check_cofactors(ctx, spec, D, det):
+def _check_cofactors(spec, D, det):
     """Closed forms of the first-column cofactors of D for r = 1, a != 0.
 
-    cofactor(i,0) = (-1)^i N(a) a^-(1+q+...+q^i) for i < n - 1,
-    cofactor(n-1,0) = (-1)^(n-1), and the determinant ``det`` of D is
+    cofactor(i,0) = (-1)^i N(a) a^-(1+q+...+q^i) for every i < n, which is
+    (-1)^(n-1) at i = n - 1, and the determinant ``det`` of D is
     N(a) + (-1)^(n-1); all hold whether or not the binomial permutes.  The
     prefix products a^-(1+q+...+q^i) come from one running chain of
     conjugates of 1/a, one Frobenius and one multiply per step.  Returns
     the number of checks and the (name, got, expected) encodings of those
     that fail.
     """
-    n = ctx.n
+    ctx = spec.ctx
     a = spec.a
     nor = a.norm_rel(1)
     checks = []
     prefix = y = a.inv()
-    for i in range(n - 1):
+    for i in range(ctx.n):
         if i:
             y = y.frobenius(ctx.e)
             prefix = prefix * y
@@ -264,9 +264,7 @@ def _check_cofactors(ctx, spec, D, det):
         if i % 2:
             expected = -expected
         checks.append((f"cof{i}", D.cofactor(i, 0), expected))
-    sign = binomial._sign(ctx, n - 1)
-    checks.append((f"cof{n - 1}", D.cofactor(n - 1, 0), sign))
-    checks.append(("det", det, nor + sign))
+    checks.append(("det", det, nor + binomial._sign(ctx, ctx.n - 1)))
     mismatches = [(name, got.to_int(), expected.to_int())
                   for name, got, expected in checks if got != expected]
     return len(checks), mismatches
@@ -276,21 +274,21 @@ def sweep(cfg: SweepConfig) -> SweepReport:
     """Cross-validate every closed form on the full (p, e, n, r, a) grid.
 
     Per case: the norm criterion, the determinant criterion, and exhaustive
-    bijectivity must agree, and a non-permutation must have exactly
-    q^gcd(n, r) kernel elements; for permutations, the closed-form inverse
-    must compose to the identity both ways and match the matrix-method
-    inverse (and the special forms where they apply); for r = 1 the cofactor
-    closed forms are checked; and permutations are lifted by every factor t
-    coprime to n whose field fits the cap, t = 1 included, and rechecked
-    exhaustively.  L's Dickson matrix is built once per case and serves the
-    determinant, cofactor and matrix-inverse checks, and a lift equal to L
-    (every t = 1 lift) is checked on L's own table.  The work done is
-    counted per unit in ``report.counts`` (see ``COUNTS``).  Failures are
-    collected, not raised: an internal consistency check that raises
-    ``AssertionError`` (the denominator check of the norm criterion, the
-    cofactor check of the matrix method, the root check of the embedding)
-    is recorded under its check family and the case moves on.  The grid
-    order is fixed, so reports are reproducible.
+    bijectivity must agree, the determinant must match its closed form, and a
+    non-permutation must have exactly q^gcd(n, r) kernel elements; for
+    permutations, the closed-form inverse must compose to the identity both
+    ways and match the matrix-method inverse (and the special forms where they
+    apply); for r = 1 the cofactor closed forms are checked; and permutations
+    are lifted by every factor t coprime to n whose field fits the cap, t = 1
+    included, and rechecked exhaustively.  L's Dickson matrix is built once
+    per case and serves the determinant, cofactor and matrix-inverse checks,
+    and a lift equal to L (every t = 1 lift) is checked on L's own table.  The
+    work done is counted per unit in ``report.counts`` (see ``COUNTS``).
+    Failures are collected, not raised: an internal consistency check that
+    raises ``AssertionError`` (the denominator check of the norm criterion,
+    the cofactor check of the matrix method, the root check of the embedding)
+    is recorded under its check family and the case moves on.  The grid order
+    is fixed, so reports are reproducible.
     """
     report = SweepReport(config=cfg)
     timings = report.timings
@@ -331,6 +329,16 @@ def sweep(cfg: SweepConfig) -> SweepReport:
                     det = D.det()
                     counts["eliminations"] += 1
                     perm_det = bool(det)
+                    # det D = delta^(1 + q + ... + q^(d-1)), delta = N(a) +
+                    # (-1)^(n/d - 1): the cycles of j -> j + r mod n make D
+                    # permutation-similar to d blocks, block c of determinant
+                    # delta^(q^c)
+                    delta = (spec.a.norm_rel(spec.d)
+                             + binomial._sign(ctx, n // spec.d - 1))
+                    expected = delta ** ((ctx.q ** spec.d - 1) // (ctx.q - 1))
+                    if det != expected:
+                        fail(CHECK_CRITERION, f"determinant {det.to_int()}, "
+                             f"closed form {expected.to_int()}")
                     img = table(L, "polynomial")
                     kernel = _kernel_size(img)
                     perm_brute = kernel == 1
@@ -347,7 +355,7 @@ def sweep(cfg: SweepConfig) -> SweepReport:
 
                 if r == 1 and enc_a != 0:
                     with _timer(timings, CHECK_COFACTORS):
-                        checks, mismatches = _check_cofactors(ctx, spec, D, det)
+                        checks, mismatches = _check_cofactors(spec, D, det)
                         report.cofactor_checks += checks
                         counts["eliminations"] += n  # one per cofactor
                         if mismatches:

@@ -240,6 +240,12 @@ class TestBench:
         assert code == 0
         assert out.strip() == ""
 
+    def test_zero_trials_json_is_an_empty_object(self, capsys):
+        code, out, _ = run(capsys, "bench", "--p", "3", "--e", "1", "--n", "2",
+                           "--trials", "0", "--json")
+        assert code == 0
+        assert json.loads(out) == {}
+
     def test_negative_trials(self, capsys):
         code, out, err = run(capsys, "bench", "--p", "3", "--e", "1", "--n", "2",
                              "--trials", "-1")

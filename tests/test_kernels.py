@@ -84,7 +84,7 @@ def test_elementwise_ops(case):
         (u + v) % p for u, v in zip(a, b)]
     assert unpack(kernel.submod(x, y, pk), pk) == [
         (u - v) % p for u, v in zip(a, b)]
-    assert unpack(kernel.negmod(x, pk), pk) == [-u % p for u in a]
+    assert unpack(kernel.submod(0, x, pk), pk) == [-u % p for u in a]
     assert unpack(x, pk) == a
     cols = [pack(mat[j::m], pk) for j in range(m)]
     expected = [sum(mat[i * m + j] * a[j] for j in range(m)) % p for i in range(m)]
@@ -115,7 +115,7 @@ def test_slotwise_ops_and_encoding_round_trip(p, e, n):
         enc = sum(c * p**i for i, c in enumerate(a))
         assert ctx.from_int(enc).packed == x
         assert ctx.from_int(enc).to_int() == enc
-        assert unpack(kernel.negmod(x, pk), pk) == [-u % p for u in a]
+        assert unpack(kernel.submod(0, x, pk), pk) == [-u % p for u in a]
         for b in vectors:
             y = pack(b, pk)
             assert unpack(kernel.addmod(x, y, pk), pk) == [

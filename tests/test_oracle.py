@@ -235,6 +235,30 @@ class TestSweep:
             3, 1, 2, 1, 1, None, CHECK_COFACTORS,
             "cofactor mismatches [('cof0', 2, 1)]")
 
+    def test_determinant_sign_fault_is_one_record_per_permutation(
+            self, monkeypatch):
+        # -det is nonzero exactly when det is, so bool(det) misses it and the
+        # determinant's closed form records it once per permutation case
+        real = linpoly.DicksonMatrix.det
+        monkeypatch.setattr(linpoly.DicksonMatrix, "det",
+                            lambda self: -real(self))
+        report = sweep(SweepConfig(max_field_order=81, primes=(3,)))
+        criterion = report.failures_for(CHECK_CRITERION)
+        assert len(criterion) == report.permutation_cases > 0
+        assert len({f[:6] for f in criterion}) == len(criterion)
+        for f in criterion:
+            got, expected = map(int, f.detail.removeprefix(
+                "determinant ").split(", closed form "))
+            ctx = field_ctx(f.p, f.e, f.n)
+            assert expected and ctx.from_int(got) == -ctx.from_int(expected)
+        assert {2, 3} <= {f.r for f in criterion if f.n == 4}
+        # at r = 1 the cofactor family's own determinant entry sees it too
+        cofactors = report.failures_for(CHECK_COFACTORS)
+        assert len(criterion) + len(cofactors) == len(report.failures)
+        assert cofactors and all(
+            f.r == 1 and f.detail.startswith("cofactor mismatches [('det', ")
+            for f in cofactors)
+
     def test_timer_counts_a_block_that_raises(self):
         timings = {}
         with pytest.raises(KeyError):
