@@ -141,13 +141,15 @@ class DicksonMatrix:
         return det, DicksonMatrix(self.ctx, rows)
 
     def inverse_poly(self) -> LinearizedPoly:
-        """Compositional inverse of :meth:`poly`: row 0 of the inverse matrix.
+        """Compositional inverse of the linearized polynomial whose Dickson
+        matrix this is, the one with coefficients ``entries[0]``.
 
-        Row 0 is the solution x of x D = e_0 (see :func:`_solve`), so the
-        rest of the inverse is never formed.  As a consistency check the
-        determinant is recomputed by first-column cofactor expansion
-        (cofactor (i,0) equals det times x_i) and must match the elimination
-        determinant and be fixed by the q-power Frobenius.
+        Its coefficients are row 0 of the inverse matrix, the solution x of
+        x D = e_0 (see :func:`_solve`), so the rest of the inverse is never
+        formed.  As a consistency check the determinant is recomputed by
+        first-column cofactor expansion (cofactor (i,0) equals det times
+        x_i) and must match the elimination determinant and be fixed by the
+        q-power Frobenius.
         """
         ctx = self.ctx
         det, rows = _solve(ctx, self.entries, 1)

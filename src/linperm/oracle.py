@@ -240,20 +240,20 @@ def _lift_factors(p, e, n, cap):
             if math.gcd(t, n) == 1 and p ** (e * n * t) <= cap]
 
 
-def _check_cofactors(spec, D, det):
+def _check_cofactors(spec, D, det, nor, delta):
     """Closed forms of the first-column cofactors of D for r = 1, a != 0.
 
     cofactor(i,0) = (-1)^i N(a) a^-(1+q+...+q^i) for every i < n, which is
-    (-1)^(n-1) at i = n - 1, and the determinant ``det`` of D is
-    N(a) + (-1)^(n-1); all hold whether or not the binomial permutes.  The
-    prefix products a^-(1+q+...+q^i) come from one running chain of
-    conjugates of 1/a, one Frobenius and one multiply per step.  Returns
-    the number of checks and the (name, got, expected) encodings of those
-    that fail.
+    (-1)^(n-1) at i = n - 1, and the determinant ``det`` of D is ``delta``
+    = N(a) + (-1)^(n-1), with ``nor`` = N(a) and ``delta`` taken from the
+    criterion check (d = 1 at r = 1); all hold whether or not the binomial
+    permutes.  The prefix products a^-(1+q+...+q^i) come from one running
+    chain of conjugates of 1/a, one Frobenius and one multiply per step.
+    Returns the number of checks and the (name, got, expected) encodings of
+    those that fail.
     """
     ctx = spec.ctx
     a = spec.a
-    nor = a.norm_rel(1)
     checks = []
     prefix = y = a.inv()
     for i in range(ctx.n):
@@ -264,7 +264,7 @@ def _check_cofactors(spec, D, det):
         if i % 2:
             expected = -expected
         checks.append((f"cof{i}", D.cofactor(i, 0), expected))
-    checks.append(("det", det, nor + binomial._sign(ctx, ctx.n - 1)))
+    checks.append(("det", det, delta))
     mismatches = [(name, got.to_int(), expected.to_int())
                   for name, got, expected in checks if got != expected]
     return len(checks), mismatches
@@ -333,8 +333,8 @@ def sweep(cfg: SweepConfig) -> SweepReport:
                     # (-1)^(n/d - 1): the cycles of j -> j + r mod n make D
                     # permutation-similar to d blocks, block c of determinant
                     # delta^(q^c)
-                    delta = (spec.a.norm_rel(spec.d)
-                             + binomial._sign(ctx, n // spec.d - 1))
+                    nor = spec.a.norm_rel(spec.d)
+                    delta = nor + binomial._sign(ctx, n // spec.d - 1)
                     expected = delta ** ((ctx.q ** spec.d - 1) // (ctx.q - 1))
                     if det != expected:
                         fail(CHECK_CRITERION, f"determinant {det.to_int()}, "
@@ -355,7 +355,8 @@ def sweep(cfg: SweepConfig) -> SweepReport:
 
                 if r == 1 and enc_a != 0:
                     with _timer(timings, CHECK_COFACTORS):
-                        checks, mismatches = _check_cofactors(spec, D, det)
+                        checks, mismatches = _check_cofactors(
+                            spec, D, det, nor, delta)
                         report.cofactor_checks += checks
                         counts["eliminations"] += n  # one per cofactor
                         if mismatches:

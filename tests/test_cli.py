@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from linperm import cli, ffield
+from linperm import binomial, cli, ffield
 from linperm.cli import main
 
 
@@ -253,11 +253,12 @@ class TestBench:
         assert err == "error: trials must be nonnegative\n"
 
     def test_zero_trials_still_checks_r(self, capsys):
-        code, out, err = run(capsys, "bench", "--p", "3", "--e", "1", "--n", "4",
-                             "--r", "9", "--trials", "0")
-        assert code == 1
-        assert out == ""
-        assert err.strip() == "error: r=9 outside [1, 3]"
+        for trials in ("0", "1"):
+            code, out, err = run(capsys, "bench", "--p", "3", "--e", "1",
+                                 "--n", "4", "--r", "9", "--trials", trials)
+            assert code == 1
+            assert out == ""
+            assert err.strip() == "error: r=9 outside [1, 3]"
 
     def test_sampling_failure_is_reported(self, capsys):
         # q = 2, gcd(r, n) = 1: only a = 0 permutes, and the fixed seed's
@@ -286,6 +287,15 @@ class TestParsing:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == ["modulus: 10", "order: 9"]
+
+    def test_other_errors_are_not_caught(self, monkeypatch):
+        # only CliError and ValueError become an error: line
+        def broken(spec):
+            raise AssertionError("broken invariant")
+        monkeypatch.setattr(binomial, "is_permutation_binomial", broken)
+        with pytest.raises(AssertionError, match="broken invariant"):
+            main(["check", "--p", "3", "--e", "1", "--n", "2", "--r", "1",
+                  "--a", "4"])
 
     def test_output_is_deterministic(self, capsys):
         argv = ["lift", "--p", "3", "--e", "1", "--n", "2", "--r", "1",
