@@ -14,6 +14,7 @@ multiply per term, so no big-integer exponent appears.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import NotAPermutationError, UnsupportedShapeError
@@ -22,9 +23,9 @@ from .linpoly import LinearizedPoly
 
 
 class BinomialSpec:
-    """The pair (a, r) defining x^(q^r) + a*x, with d = gcd(n, r) cached."""
-
-    __slots__ = ("a", "r", "d")
+    """The pair (a, r) defining x^(q^r) + a*x, with d = gcd(n, r), the
+    norm N(a) onto GF(q^d) (computed on first read, then kept) and
+    delta = N(a) + (-1)^(n/d - 1) (recomputed from it on each read)."""
 
     def __init__(self, a: FieldElem, r: int):
         if not isinstance(a, FieldElem):
@@ -35,6 +36,14 @@ class BinomialSpec:
         self.a = a
         self.r = r
         self.d = math.gcd(n, r)
+
+    @functools.cached_property
+    def norm(self) -> FieldElem:
+        return self.a.norm_rel(self.d)
+
+    @property
+    def delta(self) -> FieldElem:
+        return self.norm + _sign(self.ctx, self.ctx.n // self.d - 1)
 
     @property
     def ctx(self) -> FieldCtx:
@@ -57,18 +66,15 @@ def _sign(ctx: FieldCtx, k: int) -> FieldElem:
 
 
 def is_permutation_binomial(spec: BinomialSpec) -> bool:
-    """Norm criterion for the binomial, via a Frobenius-product norm.
+    """Norm criterion (-1)^(n/d) * N(a) != 1 on ``spec.norm``.
 
     Also checks that the vanishing of the inverse's denominator
-    N(a) + (-1)^(n/d - 1) coincides with the criterion failing; the two are
+    ``spec.delta`` coincides with the criterion failing; the two are
     algebraically equivalent and are asserted to agree on every call.
     """
     ctx = spec.ctx
-    nd = ctx.n // spec.d
-    nor = spec.a.norm_rel(spec.d)
-    perm = _sign(ctx, nd) * nor != ctx.one
-    denominator = nor + _sign(ctx, nd - 1)
-    if bool(denominator) != perm:
+    perm = _sign(ctx, ctx.n // spec.d) * spec.norm != ctx.one
+    if bool(spec.delta) != perm:
         raise AssertionError("denominator test disagrees with norm criterion")
     return perm
 
@@ -79,25 +85,23 @@ def inverse_binomial(spec: BinomialSpec) -> LinearizedPoly:
     For a = 0 the binomial degenerates to the monomial x^(q^r), whose
     inverse is x^(q^(n-r)).  Otherwise slot (i*r mod n) receives
     front * (-1)^i * (1/a)^(1 + q^r + ... + q^(i*r)) built incrementally
-    from front / a, with front = N(a) / den and den = N(a) + (-1)^(n/d - 1).
+    from front / a, with front = N(a) / delta, both read from ``spec``.
     One inversion serves both quotients (Montgomery's trick): with
-    z = 1/(den * a), front / a = N(a) * z and 1/a = den * z.
+    z = 1/(delta * a), front / a = N(a) * z and 1/a = delta * z.
     """
     ctx = spec.ctx
-    n, e, r, d = ctx.n, ctx.e, spec.r, spec.d
+    n, e, r = ctx.n, ctx.e, spec.r
     if not spec.a:
         return LinearizedPoly.monomial(ctx, (n - r) % n)
-    nd = n // d
-    nor = spec.a.norm_rel(d)
-    denominator = nor + _sign(ctx, nd - 1)
-    if not denominator:
+    delta = spec.delta
+    if not delta:
         raise NotAPermutationError(
             "binomial does not permute the field: criterion value is 1")
-    z = (denominator * spec.a).inv()
+    z = (delta * spec.a).inv()
     coeffs = [ctx.zero] * n
-    term = nor * z
-    y = denominator * z
-    for i in range(nd):
+    term = spec.norm * z
+    y = delta * z
+    for i in range(n // spec.d):
         if i:
             y = y.frobenius(e * r)
             term = term * y

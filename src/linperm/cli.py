@@ -58,8 +58,7 @@ def cmd_field(args):
 def cmd_check(args):
     spec = _spec(args)
     perm = binomial.is_permutation_binomial(spec)
-    norm = spec.a.norm_rel(spec.d)
-    _emit(args, [("permutation", perm), ("norm", norm.to_int())])
+    _emit(args, [("permutation", perm), ("norm", spec.norm.to_int())])
     return 0
 
 
@@ -90,8 +89,15 @@ def cmd_lift(args):
     return 0
 
 
+def _prime(tok):
+    try:
+        return int(tok)
+    except ValueError:
+        raise CliError(f"--primes: {tok!r} is not an integer") from None
+
+
 def cmd_verify(args):
-    primes = tuple(int(tok) for tok in args.primes.split(",") if tok)
+    primes = tuple(_prime(tok) for tok in args.primes.split(",") if tok)
     cfg = oracle.SweepConfig(max_field_order=args.max_order, primes=primes)
     if next(oracle._grid(cfg), None) is None:
         primes = ",".join(map(str, cfg.primes)) or "none"
@@ -136,7 +142,8 @@ def run_bench(p, e, n, r, trials):
     dickson_total = 0
     agree = True
     for _ in range(trials):
-        spec = _sample_permutation_spec(ctx, r, rng)
+        # a fresh spec, so the closed form's time includes its own N(a)
+        spec = binomial.BinomialSpec(_sample_permutation_spec(ctx, r, rng).a, r)
         L = spec.poly()
         start = time.perf_counter_ns()
         closed = binomial.inverse_binomial(spec)

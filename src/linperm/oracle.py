@@ -240,31 +240,30 @@ def _lift_factors(p, e, n, cap):
             if math.gcd(t, n) == 1 and p ** (e * n * t) <= cap]
 
 
-def _check_cofactors(spec, D, det, nor, delta):
+def _check_cofactors(spec, D, det):
     """Closed forms of the first-column cofactors of D for r = 1, a != 0.
 
     cofactor(i,0) = (-1)^i N(a) a^-(1+q+...+q^i) for every i < n, which is
-    (-1)^(n-1) at i = n - 1, and the determinant ``det`` of D is ``delta``
-    = N(a) + (-1)^(n-1), with ``nor`` = N(a) and ``delta`` taken from the
-    criterion check (d = 1 at r = 1); all hold whether or not the binomial
-    permutes.  The prefix products a^-(1+q+...+q^i) come from one running
-    chain of conjugates of 1/a, one Frobenius and one multiply per step.
+    (-1)^(n-1) at i = n - 1, and the determinant ``det`` of D is
+    ``spec.delta`` = N(a) + (-1)^(n-1), with N(a) = ``spec.norm`` (d = 1 at
+    r = 1); all hold whether or not the binomial permutes.  The prefix
+    products a^-(1+q+...+q^i) come from one running chain of conjugates of
+    1/a, one Frobenius and one multiply per step.
     Returns the number of checks and the (name, got, expected) encodings of
     those that fail.
     """
     ctx = spec.ctx
-    a = spec.a
     checks = []
-    prefix = y = a.inv()
+    prefix = y = spec.a.inv()
     for i in range(ctx.n):
         if i:
             y = y.frobenius(ctx.e)
             prefix = prefix * y
-        expected = nor * prefix
+        expected = spec.norm * prefix
         if i % 2:
             expected = -expected
         checks.append((f"cof{i}", D.cofactor(i, 0), expected))
-    checks.append(("det", det, delta))
+    checks.append(("det", det, spec.delta))
     mismatches = [(name, got.to_int(), expected.to_int())
                   for name, got, expected in checks if got != expected]
     return len(checks), mismatches
@@ -333,9 +332,7 @@ def sweep(cfg: SweepConfig) -> SweepReport:
                     # (-1)^(n/d - 1): the cycles of j -> j + r mod n make D
                     # permutation-similar to d blocks, block c of determinant
                     # delta^(q^c)
-                    nor = spec.a.norm_rel(spec.d)
-                    delta = nor + binomial._sign(ctx, n // spec.d - 1)
-                    expected = delta ** ((ctx.q ** spec.d - 1) // (ctx.q - 1))
+                    expected = spec.delta ** ((ctx.q ** spec.d - 1) // (ctx.q - 1))
                     if det != expected:
                         fail(CHECK_CRITERION, f"determinant {det.to_int()}, "
                              f"closed form {expected.to_int()}")
@@ -355,8 +352,7 @@ def sweep(cfg: SweepConfig) -> SweepReport:
 
                 if r == 1 and enc_a != 0:
                     with _timer(timings, CHECK_COFACTORS):
-                        checks, mismatches = _check_cofactors(
-                            spec, D, det, nor, delta)
+                        checks, mismatches = _check_cofactors(spec, D, det)
                         report.cofactor_checks += checks
                         counts["eliminations"] += n  # one per cofactor
                         if mismatches:

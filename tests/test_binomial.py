@@ -5,10 +5,12 @@ import random
 
 import pytest
 
-from linperm import (BinomialSpec, LinearizedPoly, NotAPermutationError,
-                     SweepConfig, UnsupportedShapeError, brute_is_permutation,
-                     embed_subfield, field_ctx, inverse_binomial, inverse_dickson, inverse_special,
-                     is_permutation_binomial, is_permutation_dickson, lift)
+from linperm import (BinomialSpec, FieldElem, LinearizedPoly,
+                     NotAPermutationError, SweepConfig, UnsupportedShapeError,
+                     brute_is_permutation, embed_subfield, field_ctx,
+                     inverse_binomial, inverse_dickson, inverse_special,
+                     is_permutation_binomial, is_permutation_dickson, lift,
+                     sweep)
 from linperm.oracle import _grid
 
 SMALL_FIELDS = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 2, 2), (3, 1, 2),
@@ -71,6 +73,42 @@ class TestPermutationCriterion:
             lhs = not nor + minus_one ** (nd - 1)
             rhs = (minus_one ** nd) * nor == ctx.one
             assert lhs == rhs
+
+
+def count_norms(monkeypatch):
+    """Record the degree d of every FieldElem.norm_rel call from now on."""
+    calls = []
+    real = FieldElem.norm_rel
+
+    def norm_rel(self, d):
+        calls.append(d)
+        return real(self, d)
+
+    monkeypatch.setattr(FieldElem, "norm_rel", norm_rel)
+    return calls
+
+
+class TestCachedCriterion:
+    """spec.norm and spec.delta, the one N(a) of a binomial and the
+    denominator built from it."""
+
+    @pytest.mark.parametrize("p,e,n", [(3, 1, 2), (2, 1, 6)])
+    def test_norm_and_delta_match_the_criterion(self, p, e, n):
+        for spec in all_specs(field_ctx(p, e, n)):
+            assert spec.norm == spec.a.norm_rel(spec.d)
+            assert bool(spec.delta) == is_permutation_binomial(spec)
+
+    def test_criterion_and_inverse_share_one_norm(self, monkeypatch, f9):
+        calls = count_norms(monkeypatch)
+        spec = BinomialSpec(f9.from_int(4), 1)
+        assert is_permutation_binomial(spec)
+        inverse_binomial(spec)
+        assert calls == [1]
+
+    def test_sweep_computes_one_norm_per_case(self, monkeypatch):
+        calls = count_norms(monkeypatch)
+        report = sweep(SweepConfig(max_field_order=9, primes=(3,)))
+        assert report.cases == len(calls) == 9
 
 
 def geometric_power(a, r, i):

@@ -210,6 +210,19 @@ class TestVerify:
             assert code == 1
             assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("primes", ["x", "3,x"])
+    def test_non_integer_prime_names_the_flag(self, capsys, primes):
+        code, out, err = run(capsys, "verify", "--max-order", "9",
+                             "--primes", primes)
+        assert code == 1 and out == ""
+        assert err == "error: --primes: 'x' is not an integer\n"
+
+    def test_empty_prime_tokens_are_skipped(self, capsys):
+        code, out, _ = run(capsys, "verify", "--max-order", "9",
+                           "--primes", "3,,3")
+        assert code == 0
+        assert lines(out)["cases"] == "9"
+
     def test_cap_enforced(self, capsys):
         code, _, err = run(capsys, "verify", "--max-order", "2000000")
         assert code == 1 and "max_field_order" in err
@@ -233,6 +246,21 @@ class TestBench:
         got = lines(out)
         assert got["agree"] == "true"
         assert int(got["closed_ns"]) > 0 and int(got["dickson_ns"]) > 0
+
+    def test_closed_form_time_includes_its_norm(self, monkeypatch):
+        # the sampler's criterion computes N(a) on its own spec; the timed
+        # closed form gets a fresh spec and computes N(a) itself
+        real = binomial.inverse_binomial
+        cached = []
+
+        def inverse(spec):
+            cached.append("norm" in vars(spec))
+            return real(spec)
+
+        monkeypatch.setattr(binomial, "inverse_binomial", inverse)
+        _, _, agree = cli.run_bench(3, 1, 4, 1, 3)
+        assert agree
+        assert cached == [False] * 3
 
     def test_zero_trials_is_empty(self, capsys):
         code, out, _ = run(capsys, "bench", "--p", "3", "--e", "1", "--n", "2",

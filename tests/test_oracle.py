@@ -412,11 +412,18 @@ class TestBrokenInvariants:
         assert all(f.p == 3 and f.n == 2 for f in found)
 
     def test_denominator_failures_cover_every_nonzero_a(self, monkeypatch):
+        # the fault reaches only the criterion: the determinant closed form
+        # and the cofactor check read spec.delta outside the faulty call, so
+        # a delta kept from inside it would add determinant and det records
         break_denominator_check(monkeypatch)
         report = sweep(GF9_GRID)
-        hit = {f.a for f in report.failures_for(CHECK_CRITERION)
-               if "denominator test" in f.detail}
-        assert hit == set(range(1, 9))
+        found = report.failures_for(CHECK_CRITERION)
+        assert len(report.failures) == len(found) == 16
+        denominator = [f.a for f in found if f.detail ==
+                       "norm criterion: denominator test disagrees with "
+                       "norm criterion"]
+        verdicts = [f.a for f in found if f.detail.startswith("norm=None ")]
+        assert denominator == verdicts == list(range(1, 9))
 
     @pytest.mark.parametrize("inject,check", [
         (break_denominator_check, CHECK_CRITERION),
