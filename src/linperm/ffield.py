@@ -24,7 +24,8 @@ cached as its m packed columns, run on the packed-integer kernels with the
 context's ``packing``; inverses come from the extended Euclidean algorithm
 on packed polynomials (``_kernel.invmod``) and powers from
 square-and-multiply.  Addition, subtraction and negation are slotwise on
-the packed ints either way.
+the packed ints either way.  :meth:`FieldCtx.int_ops` makes the same choice
+once per context for loops that run on packed ints rather than elements.
 """
 
 from __future__ import annotations
@@ -177,15 +178,16 @@ class FieldCtx:
     elements are never mutated.  Everything else derived is built lazily
     and cached on the context, so sharing one context across many
     operations is cheap and thread-safe in the memoized-recompute sense:
-    the packed columns of each Frobenius power, and, when
-    ``order <= LOG_TABLE_MAX_ORDER``, the log and antilog tables, built by
-    the first product, inverse, power or Frobenius image taken in the
-    context (see :meth:`_log_tables`).  Creating a context, converting
-    encodings and adding never build them.
+    the packed columns of each Frobenius power, the int-level operations
+    of :meth:`int_ops`, and, when ``order <= LOG_TABLE_MAX_ORDER``, the log
+    and antilog tables, built by the first product, inverse, power or
+    Frobenius image taken in the context or the first :meth:`int_ops` call
+    (see :meth:`_log_tables`).  Creating a context, converting encodings
+    and adding never build them.
     """
 
     __slots__ = ("p", "e", "n", "m", "q", "order", "modulus", "packing",
-                 "zero", "one", "_frob", "_log", "_exp")
+                 "zero", "one", "_frob", "_log", "_exp", "_ops")
 
     def __init__(self, p: int, e: int, n: int):
         check_characteristic(p)
@@ -207,6 +209,7 @@ class FieldCtx:
         self._frob = {}
         self._log = None
         self._exp = None
+        self._ops = None
 
     def __eq__(self, other):
         if not isinstance(other, FieldCtx):
@@ -273,6 +276,23 @@ class FieldCtx:
         self._exp = exp + exp
         self._log = log
         return log
+
+    def int_ops(self):
+        """(mul, inv) on the packed ints of nonzero elements, chosen once
+        per context: log and antilog lookups when the context has log
+        tables, ``_kernel.mulmod`` and ``_kernel.invmod`` otherwise.  A zero
+        operand is not supported; callers test for it first."""
+        if self._ops is None:
+            log = self._log_tables()
+            if log is None:
+                pk = self.packing
+                self._ops = (lambda a, b: _kernel.mulmod(a, b, pk),
+                             lambda a: _kernel.invmod(a, pk))
+            else:
+                exp, units = self._exp, self.order - 1
+                self._ops = (lambda a, b: exp[log[a] + log[b]],
+                             lambda a: exp[units - log[a]])
+        return self._ops
 
     def _mul(self, a, b):
         """Product of two packed elements of this field."""

@@ -6,11 +6,15 @@ GF(q)-linear map of GF(q^n).  Its Dickson matrix has entry
 matrix is nonsingular, and the coefficient vector of the compositional
 inverse of a permutation is the first row of the inverse matrix.  One
 elimination routine, :func:`_solve`, gives every matrix quantity: the
-determinant, cofactors, that first row and the whole inverse.
+determinant, cofactors, that first row and the whole inverse.  It runs on
+packed ints, eliminates without division and makes one field inversion
+per call, so an n x n solve over a big field costs one Euclid instead of
+n; field elements are built only for its results.
 """
 
 from __future__ import annotations
 
+from . import _kernel
 from .errors import ContextMismatchError, SingularMatrixError
 from .ffield import FieldCtx, FieldElem
 
@@ -185,20 +189,26 @@ def _solve(ctx, entries, k):
     solution x of x D = e_i, row i of D^-1, for i < k; X is None when D is
     singular.
 
-    Forward elimination on [D^T | e_0 ... e_(k-1)] takes the first nonzero
-    entry of each column as its pivot, scales it to one and clears below
-    it; det D is the signed product of the pivots, and the unit
-    upper-triangular system left is solved by back substitution.  A product
+    Division-free forward elimination on [D^T | e_0 ... e_(k-1)] takes the
+    first nonzero entry of each column as its pivot and clears each nonzero
+    entry f below it by row <- pivot * row - f * (pivot row), a step that
+    multiplies the determinant by the pivot; ``scale`` is the product of
+    those factors.  So det D = +-(product of the pivots) / scale, and back
+    substitution on the upper-triangular system left divides by each pivot.
+    The one inversion, of scale and (when k > 0) the pivots together, is
+    Montgomery's simultaneous inversion.  Every loop runs on packed ints
+    with the context's :meth:`~linperm.ffield.FieldCtx.int_ops`; a product
     is only formed when both operands are nonzero, so an entry costs field
     work only while it is nonzero.  An empty D has det one.
     """
+    mul, inv = ctx.int_ops()
+    pk = ctx.packing
+    sub = _kernel.submod
     n = len(entries)
-    det = one = ctx.one
-    rows = [list(col) for col in zip(*entries)]
-    if k:
-        zero = ctx.zero
-        for i, row in enumerate(rows):
-            row += [one if t == i else zero for t in range(k)]
+    rows = [[c.packed for c in col] for col in zip(*entries)]
+    for i, row in enumerate(rows):
+        row += [1 if t == i else 0 for t in range(k)]
+    det = scale = 1
     for col in range(n):
         for pivot_row in range(col, n):
             if rows[pivot_row][col]:
@@ -207,27 +217,49 @@ def _solve(ctx, entries, k):
             return ctx.zero, None
         if pivot_row != col:
             rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            det = -det
-        pivot = rows[col][col]
-        det = det * pivot
-        pinv = pivot.inv()
-        rows[col] = [x * pinv if x else x for x in rows[col]]
-        for r in range(col + 1, n):
-            factor = rows[r][col]
-            if factor:
-                rows[r] = [x - factor * y if y else x
-                           for x, y in zip(rows[r], rows[col])]
+            det = sub(0, det, pk)
+        top = rows[col]
+        pivot = top[col]
+        det = mul(det, pivot)
+        for row in rows[col + 1:]:
+            f = row[col]
+            if f:
+                scale = mul(scale, pivot)
+                row[col + 1:] = [
+                    (sub(mul(pivot, x) if x else 0, mul(f, y), pk) if y
+                     else mul(pivot, x) if x else 0)
+                    for x, y in zip(row[col + 1:], top[col + 1:])]
+    pivots = [row[i] for i, row in enumerate(rows)] if k else []
+    inverses = _inverse_all([scale] + pivots, mul, inv)
+    det = mul(det, inverses[0])
     solutions = []
     for t in range(n, n + k):
-        x = [ctx.zero] * n
+        x = [0] * n
         for i in reversed(range(n)):
-            acc = rows[i][t]
+            row = rows[i]
+            acc = row[t]
             for j in range(i + 1, n):
-                if rows[i][j] and x[j]:
-                    acc = acc - rows[i][j] * x[j]
-            x[i] = acc
-        solutions.append(x)
-    return det, solutions
+                if row[j] and x[j]:
+                    acc = sub(acc, mul(row[j], x[j]), pk)
+            x[i] = mul(acc, inverses[i + 1]) if acc else 0
+        solutions.append([FieldElem(ctx, v) for v in x])
+    return FieldElem(ctx, det), solutions
+
+
+def _inverse_all(values, mul, inv):
+    """Inverses of the nonzero ``values`` from one ``inv`` call
+    (Montgomery's trick): invert the product of them all, then peel the
+    factors off one at a time from the end."""
+    prefix = [values[0]]
+    for v in values[1:]:
+        prefix.append(mul(prefix[-1], v))
+    acc = inv(prefix[-1])
+    out = [0] * len(values)
+    for i in reversed(range(1, len(values))):
+        out[i] = mul(acc, prefix[i - 1])
+        acc = mul(acc, values[i])
+    out[0] = acc
+    return out
 
 
 def is_permutation_dickson(L: LinearizedPoly) -> bool:

@@ -6,9 +6,12 @@ import random
 import pytest
 
 from linperm import (BinomialSpec, ContextMismatchError, DicksonMatrix,
-                     FieldElem, LinearizedPoly, SingularMatrixError,
+                     FieldCtx, FieldElem, LinearizedPoly, SingularMatrixError,
                      SweepConfig, brute_is_permutation, field_ctx,
-                     inverse_dickson, is_permutation_dickson, oracle)
+                     inverse_dickson, is_permutation_binomial,
+                     is_permutation_dickson, oracle)
+from linperm import _kernel
+from linperm.ffield import LOG_TABLE_MAX_ORDER
 
 from conftest import EXHAUSTIVE_FIELDS
 
@@ -210,8 +213,10 @@ class TestDeterminantAndInverse:
 class TestAgainstLeibniz:
     """The elimination against references that share no code with it."""
 
+    # the last two are above LOG_TABLE_MAX_ORDER, where the elimination
+    # multiplies and inverts with the packed kernels, not log tables
     @pytest.mark.parametrize("p,e,n", [(3, 1, 2), (5, 1, 2), (2, 2, 3),
-                                       (3, 1, 4)])
+                                       (3, 1, 4), (3, 3, 3), (2, 4, 4)])
     def test_random_matrices(self, p, e, n):
         ctx = field_ctx(p, e, n)
         rng = random.Random(41 * p + n)
@@ -315,16 +320,40 @@ class TestInverseDickson:
             assert M.compose(L) == ident
 
     def test_no_product_has_a_zero_operand(self, monkeypatch):
+        # the elimination multiplies packed ints through FieldCtx.int_ops,
+        # the cofactor-expansion check elements through FieldElem.__mul__
         zero_products = []
+        int_fields = set()
         real = FieldElem.__mul__
+        real_ops = FieldCtx.int_ops
 
         def mul(self, other):
             if not (self and other):
                 zero_products.append((self.to_int(), other.to_int()))
             return real(self, other)
 
+        def int_ops(ctx):
+            int_mul, int_inv = real_ops(ctx)
+
+            def checked_mul(a, b):
+                int_fields.add(ctx.order)
+                if not (a and b):
+                    zero_products.append((a, b))
+                return int_mul(a, b)
+
+            def checked_inv(a):
+                if not a:
+                    zero_products.append((a,))
+                return int_inv(a)
+
+            return checked_mul, checked_inv
+
         monkeypatch.setattr(FieldElem, "__mul__", mul)
-        for p, e, n in [(3, 1, 6), (2, 2, 4), (5, 1, 4)]:
+        monkeypatch.setattr(FieldCtx, "int_ops", int_ops)
+        # GF(3^9) is above LOG_TABLE_MAX_ORDER, where a zero operand would
+        # pass through _kernel.mulmod silently
+        fields = [(3, 1, 6), (2, 2, 4), (5, 1, 4), (3, 3, 3)]
+        for p, e, n in fields:
             ctx = field_ctx(p, e, n)
             rng = random.Random(29 * p + n)
             for r in range(1, n):
@@ -336,6 +365,36 @@ class TestInverseDickson:
                         if poly.dickson_matrix().det():
                             inverse_dickson(poly)
         assert zero_products == []
+        assert int_fields == {p ** (e * n) for p, e, n in fields}
+
+    def test_one_inversion_per_solve(self, monkeypatch):
+        """Over GF(3^32) an n = 32 solve makes one Euclid, not one per
+        pivot."""
+        ctx = field_ctx(3, 1, 32)
+        assert ctx.order > LOG_TABLE_MAX_ORDER
+        calls = []
+        real = _kernel.invmod
+
+        def invmod(a, pk):
+            calls.append(a)
+            return real(a, pk)
+
+        rng = random.Random(32)
+        for r in range(1, 32):
+            spec = BinomialSpec(ctx.random_element(rng), r)
+            while not is_permutation_binomial(spec):
+                spec = BinomialSpec(ctx.random_element(rng), r)
+            L = spec.poly()
+            D = L.dickson_matrix()
+            with monkeypatch.context() as m:
+                m.setattr(_kernel, "invmod", invmod)
+                D.det()
+                assert len(calls) <= 1, r
+                calls.clear()
+                M = inverse_dickson(L)
+                assert len(calls) == 1, r
+                calls.clear()
+            assert L.compose(M) == LinearizedPoly.identity(ctx)
 
 
 class TestAlgebraicStructure:
