@@ -3,69 +3,70 @@
 A field element is one packed int (Kronecker substitution): the vector v
 of its power-basis coefficients, little-endian, is sum(v[i] * 256^(w*i)),
 with w bytes a slot and 256^w > m(p-1)^2 + p for a modulus of degree m, so
-no slot of a product or of a sum of m scaled columns carries into the next.
-Every slot of an element is reduced into [0, p): zero is 0, one is 1 and a
-GF(p) constant c is c, and packed ints compare in encoding order.  A
-polynomial over GF(p) of any degree is packed the same way, its degree
-read off the bit length; the extended Euclidean algorithm behind
+no slot of a product or of a sum of m scaled columns carries into the next
+(w is 1, 2, 4, 8 or above 8).  Every slot of an element is reduced into
+[0, p): zero is 0, one is 1, a GF(p) constant c is c, and packed ints
+compare in encoding order.  A polynomial over GF(p) of any degree is packed
+the same way, its degree read off the bit length; products fold through
+the modulus tail (:func:`_reduce`), and the extended Euclid behind
 :func:`invmod` and :func:`coprime` runs on these ints.  Other modules call
 these through ``_kernel``; digit vectors appear only at the text boundary
 (:func:`digits`, :func:`from_digits`) and as the input of :func:`matvec`.
 """
 
+import struct
 from operator import mul
+
+_CODES = {2: "H", 4: "I", 8: "Q"}  # struct codes of the slots read in C
 
 
 class Packing:
-    """Slot width, the packed modulus and ``fold[k]`` = packed x^(m+k) mod
-    ``mod``, k < m - 1, for the monic ``mod`` of degree m given by its
-    digits; built once per field modulus and per irreducibility candidate."""
+    """Slot width, the packed modulus and ``tail`` = x^m mod ``mod``, packed
+    (-f_0, ..., -f_(m-1)) mod p, for the monic ``mod`` of degree m given by
+    its digits; built once per field modulus and irreducibility candidate."""
 
-    __slots__ = ("p", "m", "mod", "width", "fold", "_residues", "_ps")
+    __slots__ = ("p", "m", "mod", "width", "tail", "_low", "_residues", "_ps")
 
     def __init__(self, mod, p):
         m = len(mod) - 1
         self.p, self.m = p, m
         self.width = _width(m * (p - 1) ** 2 + p)
         self.mod = _pack(mod, self.width)
+        self.tail = _pack([-c % p for c in mod[:m]], self.width)
+        self._low = (1 << 8 * self.width * m) - 1  # the slots below m
         # bytes.translate table reducing one-byte slots mod p
         self._residues = ((bytes(range(p)) * (256 // p + 1))[:256] if p < 256
                           else None)
         # p in every slot: added before a subtraction, so no slot borrows
         self._ps = _pack([p] * m, self.width)
-        fold = []
-        t = [-c % p for c in mod[:m]]
-        for _ in range(m - 1):
-            fold.append(_pack(t, self.width))
-            top = t[-1]
-            t = [0] + t[:-1]
-            if top:
-                t = [(u - top * c) % p for u, c in zip(t, mod)]
-        self.fold = tuple(fold)
 
 
 def _width(bound):
-    """Bytes per slot for slot values up to ``bound``."""
-    return (bound.bit_length() + 7) // 8
+    """Bytes per slot for slot values up to ``bound``: 1, 2, 4, 8 or > 8."""
+    w = (bound.bit_length() + 7) // 8
+    return 4 if w == 3 else 8 if 4 < w < 8 else w
 
 
 def _pack(v, width):
-    """The packed int of the digits ``v`` with ``width``-byte slots."""
+    """The packed int of the digits ``v``, each below 2^64, with
+    ``width``-byte slots: above 8 bytes, a "Q" and zero bytes a slot."""
     if width == 1:
         return int.from_bytes(bytes(v), "little")
-    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in v]),
-                          "little")
+    code = _CODES.get(width) or f"Q{width - 8}x"
+    return int.from_bytes(struct.pack("<" + code * len(v), *v), "little")
 
 
 def _slots(x, n, width, pk):
     """The n ``width``-byte slots of ``x``, mod ``pk.p``: bytes when
-    ``width`` is 1, else a list."""
+    ``width`` is 1, else a list, read slice by slice above 8 bytes."""
     raw = x.to_bytes(n * width, "little")
     if width == 1:
         return raw.translate(pk._residues)
     p = pk.p
-    return [int.from_bytes(raw[i:i + width], "little") % p
-            for i in range(0, n * width, width)]
+    if width > 8:
+        return [int.from_bytes(raw[i:i + width], "little") % p
+                for i in range(0, n * width, width)]
+    return [c % p for c in struct.unpack("<" + _CODES[width] * n, raw)]
 
 
 def _norm(x, pk, n=None):
@@ -76,11 +77,18 @@ def _norm(x, pk, n=None):
     return _pack(_slots(x, n or pk.m, pk.width, pk), pk.width)
 
 
-def _reduce(v, pk):
-    """The packed residue of the polynomial with the 2m - 1 reduced
-    digits ``v``."""
-    m = pk.m
-    return _norm(sum(map(mul, v[m:], pk.fold), _pack(v[:m], pk.width)), pk)
+def _reduce(x, pk):
+    """The residue mod ``pk.mod`` of the packed polynomial ``x`` with
+    reduced slots.  A round replaces x^m high by high * tail, one big-int
+    product and one slot reduction, taking the degree D to at most
+    max(m - 1, D - m + s), s < m the tail's degree; its slots stay below
+    (s + 1)(p - 1)^2 + p.  A product takes two rounds when 2s <= m + 1."""
+    bits = 8 * pk.width
+    shift = bits * pk.m
+    while high := x >> shift:
+        x = (x & pk._low) + high * pk.tail
+        x = _norm(x, pk, x.bit_length() // bits + 1)
+    return x
 
 
 def digits(x, pk):
@@ -108,7 +116,7 @@ def submod(a, b, pk):
 
 def mulmod(a, b, pk):
     """Product of two packed elements modulo ``pk.mod``."""
-    return _reduce(_slots(a * b, 2 * pk.m - 1, pk.width, pk), pk)
+    return _reduce(_norm(a * b, pk, 2 * pk.m - 1), pk)
 
 
 def _euclid(r0, r1, t1, pk):
@@ -223,7 +231,8 @@ def eval_all(rows, maps, pk):
     cols = []
     for k in range(len(maps[0]) if maps else m):
         acc = sum(row * fm[k] for row, fm in zip(rows, maps))
-        cols.append(digits(_reduce(_slots(acc, 2 * m - 1, w, pk), pk), pk))
+        acc = _pack(_slots(acc, 2 * m - 1, w, pk), pk.width)
+        cols.append(digits(_reduce(acc, pk), pk))
     out = [0]
     if p == 2:
         for col in cols:

@@ -40,6 +40,10 @@ from .errors import ContextMismatchError
 # 2^62, so it fits a signed 64-bit word.
 MAX_PRIME = 2**31 - 1
 
+# Largest modulus degree m = e*n: a first context takes 0.09 s at GF(3^64)
+# and 2 s at GF(3^128), growing faster than m^3 (2-core VM, Python 3.11.7).
+MAX_DEGREE = 128
+
 # Largest field order whose context multiplies through log tables.  The build
 # grows with the order: 2 ms at GF(3^6), 20 ms and 0.9 MB at GF(2^12), the
 # cost of about 1,300 vector products there, but 48 ms at GF(3^8) and
@@ -156,6 +160,8 @@ def find_irreducible(p: int, m: int) -> tuple[int, ...]:
         raise ValueError(f"p={p} is not prime")
     if m < 1:
         raise ValueError(f"degree m={m} must be positive")
+    if m > MAX_DEGREE:
+        raise ValueError(f"degree m={m} exceeds the bound {MAX_DEGREE}")
     # tails below p are the binomials x^m + c; skip them when none is
     # irreducible, which leaves the smallest irreducible unchanged
     for tail in range(p if _binomials_reducible(p, m) else 0, p**m):

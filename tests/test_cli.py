@@ -158,6 +158,13 @@ class TestLift:
         assert code == 1 and "coprime" in err
         assert built == [(3, 1, 2)]
 
+    def test_degree_above_the_bound_is_one_error_line(self, capsys):
+        # t = 999 asks for GF(3^1998), whose modulus search would not end
+        code, out, err = run(capsys, "lift", "--p", "3", "--e", "1", "--n", "2",
+                             "--r", "1", "--a", "4", "--t", "999")
+        assert code == 1 and out == ""
+        assert err == "error: degree m=1998 exceeds the bound 128\n"
+
 
 class TestVerify:
     def test_clean_sweep(self, capsys):

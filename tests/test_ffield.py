@@ -193,6 +193,17 @@ class TestContext:
         with pytest.raises(ValueError):
             FieldCtx(2147483659, 1, 1)  # prime, but beyond the word-size bound
 
+    def test_rejects_degrees_above_the_bound(self, monkeypatch):
+        # the bound is checked before the modulus search starts
+        monkeypatch.setattr(ffield, "_is_irreducible", None)
+        m = ffield.MAX_DEGREE + 1
+        with pytest.raises(ValueError, match="m=129 exceeds the bound 128"):
+            find_irreducible(2, m)
+        for e, n in ((1, m), (m, 1), (3, 43)):
+            with pytest.raises(ValueError,
+                               match=f"m={e * n} exceeds the bound 128"):
+                FieldCtx(2, e, n)
+
     def test_encoding_round_trip(self, f9):
         for enc in range(9):
             assert f9.from_int(enc).to_int() == enc

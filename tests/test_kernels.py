@@ -9,7 +9,8 @@ from sympy.polys import galoistools as gt
 from sympy.polys.domains import ZZ
 
 from linperm import _kernel as kernel
-from linperm.ffield import _is_irreducible, field_ctx, int_to_coeffs
+from linperm.ffield import (_is_irreducible, field_ctx, find_irreducible,
+                            int_to_coeffs)
 
 from conftest import sweep_contexts
 
@@ -53,20 +54,41 @@ def kernel_case(draw):
 
 
 def extreme_case(p, m):
-    """Every coefficient p - 1: the largest value each packed slot holds."""
+    """Every coefficient p - 1: the largest value each packed slot holds.
+    The modulus tail has degree m - 1, so a product takes m - 1 folds."""
     top = [p - 1] * m
     return p, top + [1], top, top, top * m
 
 
+def canonical_case(p, m):
+    """Seeded operands under the canonical modulus of GF(p^m)."""
+    rng = random.Random(p * m)
+    a, b, mat = ([rng.randrange(p) for _ in range(k)] for k in (m, m, m * m))
+    return p, list(find_irreducible(p, m)), a, b, mat
+
+
+def slot_classes(test):
+    """``test`` with an extreme and a canonical example for each slot width
+    above one byte: GF(5^24) two bytes, GF(1009^6) three rounded to four,
+    GF(65537^5) five rounded to eight and GF((2^31 - 1)^6) nine, read
+    slice by slice."""
+    for p, m in [(5, 24), (1009, 6), (65537, 5), (2**31 - 1, 6)]:
+        test = example(case=canonical_case(p, m))(
+            example(case=extreme_case(p, m))(test))
+    return test
+
+
 @given(case=kernel_case())
 @example(case=(2**31 - 1, [5, 1], [2**31 - 2], [2**30], [0]))  # m = 1
-@example(case=extreme_case(2**31 - 1, 4))  # the widest slot, 8 bytes
-@example(case=extreme_case(3, 32))  # 2m(p-1)^2 = 256 crosses a byte
+@example(case=extreme_case(2**31 - 1, 4))  # eight-byte slots
+@example(case=extreme_case(3, 32))  # 31 folds through a full tail
+@slot_classes
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_mulmod_matches_naive_reference(case):
     p, mod, a, b, _ = case
     pk = kernel.Packing(mod, p)
     assert 256**pk.width > len(a) * (p - 1) ** 2 + p
+    assert pk.width in (1, 2, 4, 8) or pk.width >= 9
     got = kernel.mulmod(pack(a, pk), pack(b, pk), pk)
     assert unpack(got, pk) == naive_mulmod(a, b, mod, p)
 
@@ -74,6 +96,7 @@ def test_mulmod_matches_naive_reference(case):
 @given(case=kernel_case())
 @example(case=extreme_case(2**31 - 1, 4))
 @example(case=extreme_case(3, 32))
+@slot_classes
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_elementwise_ops(case):
     p, mod, a, b, mat = case
@@ -91,8 +114,8 @@ def test_elementwise_ops(case):
     assert unpack(kernel.matvec(cols, a, pk), pk) == expected
 
 
-# one-byte slots for p = 2, 3, 5; three-byte slots for p = 1009 at m = 6
-# and eight-byte slots for p = 2^31 - 1 at m = 4
+# one-byte slots for p = 2, 3, 5; four-byte slots (three rounded up) for
+# p = 1009 at m = 6 and eight-byte slots for p = 2^31 - 1 at m = 4
 PACKED_FIELDS = [(2, 1, 5), (3, 1, 4), (5, 1, 3), (1009, 1, 6),
                  (2**31 - 1, 1, 4)]
 
@@ -138,18 +161,18 @@ def test_packed_order_is_encoding_order(p, e, n):
     assert len(set(packed)) == len(encs)
 
 
-# one-byte slots for GF(3^32) and GF(2^64), the characteristic-2 XOR step
-# included; two, three and eight bytes for GF(5^24), GF(1009^6) and
-# GF((2^31 - 1)^4)
-INVMOD_FIELDS = [(3, 1, 32), (2, 1, 64), (5, 1, 24), (1009, 1, 6),
-                 (2**31 - 1, 1, 4)]
+# each field with its slot width: one byte for GF(3^32) and GF(2^64), the
+# characteristic-2 XOR step included, then every wider class
+INVMOD_FIELDS = {(3, 1, 32): 1, (2, 1, 64): 1, (5, 1, 24): 2,
+                 (1009, 1, 6): 4, (65537, 1, 5): 8, (2**31 - 1, 1, 4): 8,
+                 (2**31 - 1, 1, 6): 9}
 
 
-@pytest.mark.parametrize("p,e,n", INVMOD_FIELDS)
+@pytest.mark.parametrize("p,e,n", list(INVMOD_FIELDS))
 def test_invmod_inverts(p, e, n):
     ctx = field_ctx(p, e, n)
     pk, m = ctx.packing, ctx.m
-    assert (pk.width == 1) == (p < 5)
+    assert pk.width == INVMOD_FIELDS[p, e, n]
     rng = random.Random(m)
     vectors = ([[c] + [0] * (m - 1) for c in {1, 2 % p, p - 1}]
                + [[p - 1] * m, [0] * (m - 1) + [p - 1]]

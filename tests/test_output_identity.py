@@ -1,0 +1,53 @@
+"""Outputs pinned across kernel rewrites.
+
+Each test hashes the text encodings of a fixed set of outputs, never packed
+ints (those change wherever the slot width does), and compares the sha256
+with the digest the kernels produced before their last rewrite.
+"""
+
+import hashlib
+import random
+
+from linperm.ffield import field_ctx, find_irreducible
+
+MODULUS_CASES = sorted(
+    {(p, m) for p in (2, 3, 5, 7, 11, 31, 101) for m in range(1, 13)
+     if p**m < 10**13}
+    | {(3, 32), (2, 64), (5, 24), (1009, 6), (65537, 5), (2**31 - 1, 4),
+       (2**31 - 1, 6), (1000003, 3)})
+
+# one field per slot class: one byte (GF(3^32), GF(2^64)), two (GF(5^24)),
+# three rounded to four (GF(1009^6)), five and six rounded to eight
+# (GF(65537^5), GF(1000003^3)), eight (GF((2^31 - 1)^4)) and nine
+# (GF((2^31 - 1)^6))
+OP_FIELDS = [(3, 2, 16), (2, 4, 16), (5, 2, 12), (1009, 2, 3), (65537, 1, 5),
+             (1000003, 1, 3), (2**31 - 1, 2, 2), (2**31 - 1, 2, 3)]
+
+MODULI_SHA256 = (
+    "4132d5e5b3aa8e9f377c5cb90658c138ef508ca6211ecc8d04b0be1dade2b61a")
+OPS_SHA256 = (
+    "f66694b3ebcd561d404205f8c4bd3e4b367586a9cdcbefc79b559bbb8b0ac42d")
+
+
+def sha256(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_canonical_moduli_are_pinned():
+    assert len(MODULUS_CASES) == 82
+    assert sha256(f"{p} {m} {find_irreducible(p, m)}"
+                  for p, m in MODULUS_CASES) == MODULI_SHA256
+
+
+def test_field_operations_are_pinned():
+    lines = []
+    for p, e, n in OP_FIELDS:
+        ctx = field_ctx(p, e, n)
+        rng = random.Random(ctx.m * p)
+        encs = [1, p - 1, p, ctx.order - 1] + [rng.randrange(1, ctx.order)
+                                              for _ in range(12)]
+        xs = [ctx.from_int(v) for v in encs]
+        for x, y in zip(xs, xs[1:] + xs[:1]):
+            lines.append(" ".join(str(z.to_int()) for z in (
+                x * y, x.inv(), x.frobenius(3), x.norm_rel(1))))
+    assert sha256(lines) == OPS_SHA256
