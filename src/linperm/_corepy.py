@@ -4,20 +4,20 @@ A field element is one packed int (Kronecker substitution): the vector v
 of its power-basis coefficients, little-endian, is sum(v[i] * 256^(w*i)),
 with w bytes a slot and 256^w > m(p-1)^2 + p for a modulus of degree m, so
 no slot of a product or of a sum of m scaled columns carries into the next
-(w is 1, 2, 4, 8 or above 8).  Every slot of an element is reduced into
-[0, p): zero is 0, one is 1, a GF(p) constant c is c, and packed ints
-compare in encoding order.  A polynomial over GF(p) of any degree is packed
-the same way, its degree read off the bit length; products fold through
-the modulus tail (:func:`_reduce`), and the extended Euclid behind
-:func:`invmod` and :func:`coprime` runs on these ints.  Other modules call
-these through ``_kernel``; digit vectors appear only at the text boundary
-(:func:`digits`, :func:`from_digits`) and as the input of :func:`matvec`.
+(w is 1, 2, 4, 8 or 9, since p < 2^31 and m <= 128).  Every slot of an
+element is reduced into [0, p): zero is 0, one is 1, a GF(p) constant c is
+c, and packed ints compare in encoding order.  A polynomial over GF(p) of
+any degree is packed the same way, its degree read off the bit length;
+products fold through the modulus tail (:func:`_reduce`), and the extended
+Euclid behind :func:`invmod` and :func:`coprime` runs on these ints.  Other
+modules call these through ``_kernel``; digit vectors appear only at the
+text boundary (:func:`digits`, :func:`from_digits`) and in :func:`matvec`.
 """
 
 import struct
 from operator import mul
 
-_CODES = {2: "H", 4: "I", 8: "Q"}  # struct codes of the slots read in C
+_CODES = {2: "H", 4: "I", 8: "Q", 9: "Qx"}  # struct codes writing a slot
 
 
 class Packing:
@@ -42,30 +42,30 @@ class Packing:
 
 
 def _width(bound):
-    """Bytes per slot for slot values up to ``bound``: 1, 2, 4, 8 or > 8."""
+    """Bytes per slot for slot values up to ``bound`` < 2^72: 1, 2, 4, 8, 9."""
     w = (bound.bit_length() + 7) // 8
     return 4 if w == 3 else 8 if 4 < w < 8 else w
 
 
 def _pack(v, width):
     """The packed int of the digits ``v``, each below 2^64, with
-    ``width``-byte slots: above 8 bytes, a "Q" and zero bytes a slot."""
+    ``width``-byte slots; a nine-byte slot's high byte is zero."""
     if width == 1:
         return int.from_bytes(bytes(v), "little")
-    code = _CODES.get(width) or f"Q{width - 8}x"
-    return int.from_bytes(struct.pack("<" + code * len(v), *v), "little")
+    return int.from_bytes(struct.pack("<" + _CODES[width] * len(v), *v),
+                          "little")
 
 
 def _slots(x, n, width, pk):
     """The n ``width``-byte slots of ``x``, mod ``pk.p``: bytes when
-    ``width`` is 1, else a list, read slice by slice above 8 bytes."""
+    ``width`` is 1, else a list; a nine-byte slot is read as "Q" and "B"."""
     raw = x.to_bytes(n * width, "little")
     if width == 1:
         return raw.translate(pk._residues)
     p = pk.p
-    if width > 8:
-        return [int.from_bytes(raw[i:i + width], "little") % p
-                for i in range(0, n * width, width)]
+    if width == 9:
+        v = struct.unpack("<" + "QB" * n, raw)
+        return [(lo | hi << 64) % p for lo, hi in zip(v[::2], v[1::2])]
     return [c % p for c in struct.unpack("<" + _CODES[width] * n, raw)]
 
 

@@ -6,10 +6,11 @@ nothing is derived from the formulas under test.  A table is built by
 evaluating the polynomial directly on the m basis vectors of GF(p^m) and
 extending by GF(p)-linearity.  Linearity is checked, not assumed: a seeded
 sample of non-basis elements is re-evaluated directly with
-:meth:`LinearizedPoly.eval` and must match the table.  The two verdicts on
-tables, kernel size and two-sided inverse, are the predicates that
-:func:`brute_is_permutation`, :func:`verify_inverse` and :func:`sweep` all
-call.  Fields above ``MAX_EXHAUSTIVE_ORDER`` elements are refused, and
+:meth:`LinearizedPoly.eval` and must match the table.  Two predicates
+read L's table alone, its kernel size and whether it sends M(x) back to x
+at the basis vectors and the sample; :func:`brute_is_permutation`,
+:func:`verify_inverse` and :func:`sweep` call them.  Fields above
+``MAX_EXHAUSTIVE_ORDER`` elements are refused, and
 :func:`sweep` runs the full grid over (p, e, n, r, a), collecting failures.
 """
 
@@ -44,8 +45,8 @@ CHECK_LIFT = "lift"
 
 # Work units a sweep counts in ``SweepReport.counts``: eliminations run on
 # Dickson matrices (determinant, cofactor, row-0 solve), brute-force image
-# tables, and the direct evaluations that spot-check those tables.  Each is
-# a function of the ``SweepConfig`` alone.
+# tables, and every ``LinearizedPoly.eval`` (the tables' spot checks, and
+# m + |sample| points per inverse).  Each is a function of the config alone.
 COUNTS = ("eliminations", "tables", "direct_evaluations")
 
 
@@ -99,11 +100,14 @@ def _kernel_size(img: list[int]) -> int | None:
     return kernel if (kernel == 1) == (len(set(img)) == len(img)) else None
 
 
-def _inverts(img_l: list[int], img_m: list[int]) -> bool:
-    """True iff two image tables compose to the identity both ways."""
-    identity = list(range(len(img_l)))
-    return (list(map(img_m.__getitem__, img_l)) == identity
-            == list(map(img_l.__getitem__, img_m)))
+def _inverts(img_l: list[int], M: LinearizedPoly) -> bool:
+    """True iff L(M(x)) = x, L given by its image table, at the m basis
+    vectors (so everywhere, L o M being GF(p)-linear, and then M o L = x as
+    L is onto) and at the direct sample, which spot-checks ``M.eval``."""
+    ctx = M.ctx
+    basis = [(ctx.p**k, ctx.from_int(ctx.p**k)) for k in range(ctx.m)]
+    return all(img_l[M.eval(x).to_int()] == enc
+               for enc, x in basis + list(_direct_sample(ctx)))
 
 
 def brute_is_permutation(L: LinearizedPoly) -> bool:
@@ -116,11 +120,11 @@ def brute_is_permutation(L: LinearizedPoly) -> bool:
 
 
 def verify_inverse(L: LinearizedPoly, M: LinearizedPoly) -> bool:
-    """True iff L(M(x)) = x = M(L(x)) for every field element x."""
+    """True iff L(M(x)) = x = M(L(x)) for every x, by :func:`_inverts`."""
     if M.ctx is not L.ctx and M.ctx != L.ctx:
         raise ContextMismatchError("inverse check across contexts")
     _require_capacity(L.ctx)
-    return _inverts(_images(L), _images(M))
+    return _inverts(_images(L), M)
 
 
 @functools.lru_cache(maxsize=None)
@@ -275,14 +279,14 @@ def sweep(cfg: SweepConfig) -> SweepReport:
     Per case: the norm criterion, the determinant criterion, and exhaustive
     bijectivity must agree, the determinant must match its closed form, and a
     non-permutation must have exactly q^gcd(n, r) kernel elements; for
-    permutations, the closed-form inverse must compose to the identity both
-    ways and match the matrix-method inverse (and the special forms where they
-    apply); for r = 1 the cofactor closed forms are checked; and permutations
-    are lifted by every factor t coprime to n whose field fits the cap, t = 1
-    included, and rechecked exhaustively.  L's Dickson matrix is built once
-    per case and serves the determinant, cofactor and matrix-inverse checks,
-    and a lift equal to L (every t = 1 lift) is checked on L's own table.  The
-    work done is counted per unit in ``report.counts`` (see ``COUNTS``).
+    permutations, the closed-form inverse M must compose with L to x both ways,
+    L's table must send M(x) back to x (:func:`_inverts`), and M must match the
+    matrix-method inverse (and the special forms); for r = 1 the cofactor
+    closed forms are checked; and permutations are lifted by every factor t
+    coprime to n whose field fits the cap, t = 1 included, and rechecked
+    exhaustively.  L's Dickson matrix serves the determinant, cofactor and
+    matrix-inverse checks, and L's table the inverse and every lift equal to L
+    (t = 1).  Work is counted per unit in ``report.counts`` (see ``COUNTS``).
     Failures are collected, not raised: an internal consistency check that
     raises ``AssertionError`` (the denominator check of the norm criterion,
     the cofactor check of the matrix method, the root check of the embedding)
@@ -365,9 +369,10 @@ def sweep(cfg: SweepConfig) -> SweepReport:
 
                 with _timer(timings, CHECK_INVERSE):
                     M = binomial.inverse_binomial(spec)
+                    counts["direct_evaluations"] += ctx.m + len(_direct_sample(ctx))
                     if L.compose(M) != identity or M.compose(L) != identity:
                         fail(CHECK_INVERSE, "composition is not the identity")
-                    elif not _inverts(img, table(M, "inverse")):
+                    elif not _inverts(img, M):
                         fail(CHECK_INVERSE, "pointwise inverse check failed")
 
                 with _timer(timings, CHECK_AGREEMENT):

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from sympy.polys import galoistools as gt
 from sympy.polys.domains import ZZ
 
+from linperm import _corepy
 from linperm import _kernel as kernel
-from linperm.ffield import (_is_irreducible, field_ctx, find_irreducible,
-                            int_to_coeffs)
+from linperm.ffield import (MAX_DEGREE, MAX_PRIME, _is_irreducible, field_ctx,
+                            find_irreducible, int_to_coeffs)
 
 from conftest import sweep_contexts
 
@@ -70,8 +71,8 @@ def canonical_case(p, m):
 def slot_classes(test):
     """``test`` with an extreme and a canonical example for each slot width
     above one byte: GF(5^24) two bytes, GF(1009^6) three rounded to four,
-    GF(65537^5) five rounded to eight and GF((2^31 - 1)^6) nine, read
-    slice by slice."""
+    GF(65537^5) five rounded to eight and GF((2^31 - 1)^6) nine, read as
+    a "Q" and a "B" per slot."""
     for p, m in [(5, 24), (1009, 6), (65537, 5), (2**31 - 1, 6)]:
         test = example(case=canonical_case(p, m))(
             example(case=extreme_case(p, m))(test))
@@ -88,7 +89,7 @@ def test_mulmod_matches_naive_reference(case):
     p, mod, a, b, _ = case
     pk = kernel.Packing(mod, p)
     assert 256**pk.width > len(a) * (p - 1) ** 2 + p
-    assert pk.width in (1, 2, 4, 8) or pk.width >= 9
+    assert pk.width in (1, 2, 4, 8, 9)
     got = kernel.mulmod(pack(a, pk), pack(b, pk), pk)
     assert unpack(got, pk) == naive_mulmod(a, b, mod, p)
 
@@ -186,6 +187,15 @@ def test_invmod_inverts(p, e, n):
             assert kernel.invmod(y, pk) == x
     with pytest.raises(ZeroDivisionError):
         kernel.invmod(0, pk)
+
+
+def test_widest_slot_is_nine_bytes():
+    # the largest slot bound m(p - 1)^2 + p that MAX_DEGREE and MAX_PRIME
+    # admit, computed without building GF((2^31 - 1)^128)
+    assert (MAX_DEGREE, MAX_PRIME) == (128, 2**31 - 1)
+    assert _corepy._width(128 * (2**31 - 2)**2 + 2**31 - 1) == 9
+    assert [_corepy._width(256**k - 1) for k in range(1, 10)] == [
+        1, 2, 4, 4, 8, 8, 8, 8, 9]
 
 
 @pytest.mark.parametrize("p,mod", [(2, [1, 0, 1]), (3, [2, 0, 1]),

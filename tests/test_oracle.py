@@ -1,5 +1,7 @@
 """Brute-force checks and the cross-validation sweep."""
 
+import random
+
 import pytest
 
 from linperm import (BinomialSpec, CapacityError, ContextMismatchError,
@@ -111,6 +113,33 @@ class TestInverseTable:
                     assert not verify_inverse(
                         L, LinearizedPoly.from_encodings(f9, encs))
 
+    @pytest.mark.parametrize("p,e,n", [(2, 1, 6), (2, 2, 3), (3, 1, 4),
+                                       (3, 2, 2), (5, 1, 3)])
+    def test_agrees_with_two_way_table_composition(self, p, e, n):
+        # closed-form inverses of seeded binomials, each also with one
+        # coefficient perturbed, against both full tables composed both ways
+        ctx = field_ctx(p, e, n)
+        rng = random.Random(p**(e * n))
+        pairs = []
+        while len(pairs) < 12:
+            spec = BinomialSpec(ctx.from_int(rng.randrange(ctx.order)),
+                                rng.randrange(1, n))
+            if not is_permutation_binomial(spec):
+                continue
+            M = inverse_binomial(spec)
+            coeffs = list(M.coeffs)
+            k = rng.randrange(n)
+            coeffs[k] = coeffs[k] + ctx.from_int(rng.randrange(1, ctx.order))
+            L = spec.poly()
+            pairs += [(L, M), (L, LinearizedPoly(ctx, coeffs))]
+        for L, M in pairs:
+            img_l, img_m = oracle._images(L), oracle._images(M)
+            identity = list(range(ctx.order))
+            two_way = ([img_m[y] for y in img_l] == identity
+                       == [img_l[y] for y in img_m])
+            assert verify_inverse(L, M) == two_way
+        assert [verify_inverse(L, M) for L, M in pairs] == [True, False] * 6
+
     def test_requires_permutation(self, f9):
         Lbad = LinearizedPoly.from_encodings(f9, [3, 1])
         assert not brute_is_permutation(Lbad)
@@ -211,11 +240,21 @@ class TestSweep:
         cofactor_eliminations = 3 * 2 + 7 * 3 + 15 * 4 + 15 * 2
         assert counts["eliminations"] == (
             report.cases + report.permutation_cases + cofactor_eliminations)
-        # each lift here has t = 1, so it is checked on its case's table:
-        # one table per case and one per closed-form inverse
+        # each lift here has t = 1, so it is checked on its case's table,
+        # and inverses are checked on it pointwise: one table per case
         assert report.lift_checks == report.permutation_cases > 0
-        assert counts["tables"] == report.cases + report.permutation_cases
-        assert counts["direct_evaluations"] > counts["tables"]
+        assert counts["tables"] == report.cases
+        evaluations = 0
+        for p, e, n in oracle._grid(report.config):
+            ctx = field_ctx(p, e, n)
+            sample = len(oracle._direct_sample(ctx))
+            for r in range(1, n):
+                for enc in range(ctx.order):
+                    evaluations += sample  # spot checks of L's table
+                    if is_permutation_binomial(
+                            BinomialSpec(ctx.from_int(enc), r)):
+                        evaluations += ctx.m + sample  # M, pointwise
+        assert counts["direct_evaluations"] == evaluations
 
     def test_cofactor_fault_is_one_record_per_case(self, monkeypatch):
         # shift every cofactor (0, j) by one: cof0 fails for each of the 8
@@ -453,24 +492,36 @@ def unsampled_pair(ctx):
     return [x for x in range(9) if x not in {0, 1, 3} | sampled]
 
 
-def break_inverse_tables(monkeypatch):
-    """Swap two unsampled entries of every GF(9) inverse table.  The
-    binomials x^3 + a x have x^3-coefficient 1 and their inverses for a != 0
-    do not, which tells the inverse tables apart."""
+def break_polynomial_tables(monkeypatch):
+    """Swap the two unsampled entries of every GF(9) table.  Bijectivity,
+    the kernel and every sampled entry stay intact, so only the pointwise
+    inverse check sees it: at each a whose closed-form M sends a basis
+    vector or a sampled element into the pair."""
     ctx = field_ctx(3, 1, 2)
     i, j = unsampled_pair(ctx)
     real = oracle._images
 
     def images(poly, mismatches=None):
         img = real(poly, mismatches)
-        if poly.ctx == ctx and poly.coeffs[1] != ctx.one:
+        if poly.ctx == ctx:
             img[i], img[j] = img[j], img[i]
         return img
 
     monkeypatch.setattr(oracle, "_images", images)
-    return [a for a in gf9_permutations()
-            if inverse_binomial(BinomialSpec(ctx.from_int(a), 1)).coeffs[1]
-            != ctx.one]
+    basis = [1, 3]
+    sampled = [enc for enc, _ in oracle._direct_sample(ctx)]
+
+    def hits(a, points):
+        M = inverse_binomial(BinomialSpec(ctx.from_int(a), 1))
+        return {M.eval(ctx.from_int(x)).to_int() for x in points} & {i, j}
+
+    # one a is seen only at the basis and one only at the sample, so the
+    # check needs both sets of points
+    assert [a for a in gf9_permutations() if not hits(a, sampled)
+            and hits(a, basis)] == [4]
+    assert [a for a in gf9_permutations() if not hits(a, basis)
+            and hits(a, sampled)] == [7]
+    return [a for a in gf9_permutations() if hits(a, basis + sampled)]
 
 
 def break_lift(monkeypatch):
@@ -498,7 +549,7 @@ class TestBruteForceFailures:
     still runs, and each fault leaves exactly its own failure records."""
 
     @pytest.mark.parametrize("inject,check,t,detail", [
-        (break_inverse_tables, CHECK_INVERSE, None,
+        (break_polynomial_tables, CHECK_INVERSE, None,
          "pointwise inverse check failed"),
         (break_lift, CHECK_LIFT, 1, "lift is not a permutation"),
         (break_embedding_table, CHECK_LIFT, 1,
