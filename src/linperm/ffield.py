@@ -284,20 +284,25 @@ class FieldCtx:
         return log
 
     def int_ops(self):
-        """(mul, inv) on the packed ints of nonzero elements, chosen once
-        per context: log and antilog lookups when the context has log
-        tables, ``_kernel.mulmod`` and ``_kernel.invmod`` otherwise.  A zero
-        operand is not supported; callers test for it first."""
+        """(mul, inv, frob) on packed ints, chosen once per context: log-table
+        lookups, else ``_kernel.mulmod``, ``invmod`` and ``matvec``.  ``mul``
+        and ``inv`` take no zero operand; ``frob(x, k)`` = x^(p^k) returns x
+        as it is when k = 0 or x is a GF(p) constant (x < 256^width)."""
         if self._ops is None:
             log = self._log_tables()
+            fixed = 1 << 8 * self.packing.width
             if log is None:
-                pk = self.packing
+                pk, maps = self.packing, self._frobenius_map
                 self._ops = (lambda a, b: _kernel.mulmod(a, b, pk),
-                             lambda a: _kernel.invmod(a, pk))
+                             lambda a: _kernel.invmod(a, pk),
+                             lambda x, k: x if x < fixed or not k else
+                             _kernel.matvec(maps(k), _kernel.digits(x, pk), pk))
             else:
-                exp, units = self._exp, self.order - 1
+                exp, units, p = self._exp, self.order - 1, self.p
                 self._ops = (lambda a, b: exp[log[a] + log[b]],
-                             lambda a: exp[units - log[a]])
+                             lambda a: exp[units - log[a]],
+                             lambda x, k: x if x < fixed or not k else
+                             exp[log[x] * pow(p, k, units) % units])
         return self._ops
 
     def _mul(self, a, b):

@@ -6,10 +6,10 @@ GF(q)-linear map of GF(q^n).  Its Dickson matrix has entry
 matrix is nonsingular, and the coefficient vector of the compositional
 inverse of a permutation is the first row of the inverse matrix.  One
 elimination routine, :func:`_solve`, gives every matrix quantity: the
-determinant, cofactors, that first row and the whole inverse.  It runs on
-packed ints, eliminates without division and makes one field inversion
-per call, so an n x n solve over a big field costs one Euclid instead of
-n; field elements are built only for its results.
+determinant, cofactors, that first row and the whole inverse.  It makes
+one field inversion per call, so a big-field solve costs one Euclid, not n.
+Evaluation and Dickson matrices run on packed ints end to end; field
+elements are built only for what a public method returns.
 """
 
 from __future__ import annotations
@@ -67,16 +67,20 @@ class LinearizedPoly:
     def eval(self, x: FieldElem) -> FieldElem:
         """L(x) as sum a_i * x^(q^i); additive and GF(q)-linear in x.
 
-        One Frobenius image per nonzero coefficient past a_0.
+        One Frobenius image per nonzero coefficient past a_0, on packed ints.
         """
         ctx = self.ctx
         if x.ctx is not ctx and x.ctx != ctx:
             raise ContextMismatchError("argument from a different context")
-        acc = ctx.zero
+        if not x.packed:
+            return ctx.zero
+        mul, _, frob = ctx.int_ops()
+        acc = 0
         for i, a in enumerate(self.coeffs):
-            if a:
-                acc = acc + a * (x.frobenius(ctx.e * i) if i else x)
-        return acc
+            if a.packed:
+                acc = _kernel.addmod(acc, mul(
+                    a.packed, frob(x.packed, ctx.e * i)), ctx.packing)
+        return FieldElem(ctx, acc)
 
     def compose(self, other: "LinearizedPoly") -> "LinearizedPoly":
         """Coefficients of self(other(x)), reduced modulo x^(q^n) - x.
@@ -98,15 +102,14 @@ class LinearizedPoly:
         return LinearizedPoly(ctx, out)
 
     def dickson_matrix(self) -> "DicksonMatrix":
-        # zero is fixed by every Frobenius power, so zero coefficients are
-        # copied instead of mapped
-        ctx = self.ctx
-        n = ctx.n
-        rows = []
-        for i in range(n):
-            images = [c.frobenius(ctx.e * i) if c else c for c in self.coeffs]
-            rows.append(tuple(images[(j - i) % n] for j in range(n)))
-        return DicksonMatrix(ctx, tuple(rows))
+        # row i is the q^i-th powers of the coefficients rotated i slots
+        # right; frob returns zero and GF(p) constants as they are
+        ctx, n = self.ctx, self.ctx.n
+        frob = ctx.int_ops()[2]
+        images = [[frob(c.packed, ctx.e * i) for c in self.coeffs]
+                  for i in range(n)]
+        return DicksonMatrix._of_rows(ctx, tuple(
+            tuple(row[n - i:] + row[:n - i]) for i, row in enumerate(images)))
 
     def __eq__(self, other):
         if not isinstance(other, LinearizedPoly):
@@ -121,28 +124,40 @@ class LinearizedPoly:
 
 
 class DicksonMatrix:
-    """n x n matrix over GF(q^n); rows are tuples of field elements."""
+    """n x n matrix over GF(q^n) as packed ``rows``; ``entries`` builds the
+    field elements on each read, and the constructor takes them."""
 
-    __slots__ = ("ctx", "entries")
+    __slots__ = ("ctx", "rows")
 
     def __init__(self, ctx: FieldCtx, entries):
-        entries = tuple(tuple(row) for row in entries)
+        rows = tuple(tuple(c.packed for c in row) for row in entries)
         n = ctx.n
-        if len(entries) != n or any(len(row) != n for row in entries):
+        if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"need an n x n array with n={n}")
-        self.ctx = ctx
-        self.entries = entries
+        self.ctx, self.rows = ctx, rows
+
+    @classmethod
+    def _of_rows(cls, ctx: FieldCtx, rows) -> "DicksonMatrix":
+        D = cls.__new__(cls)
+        D.ctx, D.rows = ctx, rows
+        return D
+
+    @property
+    def entries(self) -> tuple:
+        return tuple(tuple(FieldElem(self.ctx, v) for v in row)
+                     for row in self.rows)
 
     def det(self) -> FieldElem:
-        return _solve(self.ctx, self.entries, 0)[0]
+        return FieldElem(self.ctx, _solve(self.ctx, self.rows, 0)[0])
 
     def det_and_inverse(self) -> tuple[FieldElem, "DicksonMatrix"]:
         """det D and D^-1, whose row i solves x D = e_i; raises on a
         singular matrix."""
-        det, rows = _solve(self.ctx, self.entries, self.ctx.n)
+        det, rows = _solve(self.ctx, self.rows, self.ctx.n)
         if rows is None:
             raise SingularMatrixError("matrix is singular")
-        return det, DicksonMatrix(self.ctx, rows)
+        return FieldElem(self.ctx, det), DicksonMatrix._of_rows(
+            self.ctx, tuple(map(tuple, rows)))
 
     def inverse_poly(self) -> LinearizedPoly:
         """Compositional inverse of the linearized polynomial whose Dickson
@@ -155,39 +170,43 @@ class DicksonMatrix:
         x_i) and must match the elimination determinant and be fixed by the
         q-power Frobenius.
         """
+        return self._checked_inverse(*_solve(self.ctx, self.rows, 1))
+
+    def _checked_inverse(self, det, solutions) -> LinearizedPoly:
+        """:meth:`inverse_poly` from the packed ``_solve(ctx, rows, 1)``."""
         ctx = self.ctx
-        det, rows = _solve(ctx, self.entries, 1)
-        if rows is None:
+        if solutions is None:
             raise SingularMatrixError("polynomial does not permute the field")
-        x = rows[0]
-        expansion = ctx.zero
-        for row, xi in zip(self.entries, x):
+        mul, _, frob = ctx.int_ops()
+        expansion = 0
+        for row, xi in zip(self.rows, solutions[0]):
             if row[0] and xi:
-                expansion = expansion + row[0] * (det * xi)
-        if expansion != det or det.frobenius(ctx.e) != det:
+                expansion = _kernel.addmod(
+                    expansion, mul(row[0], mul(det, xi)), ctx.packing)
+        if expansion != det or frob(det, ctx.e) != det:
             raise AssertionError("cofactor expansion disagrees with elimination")
-        return LinearizedPoly(ctx, x)
+        return LinearizedPoly(ctx, [FieldElem(ctx, v) for v in solutions[0]])
 
     def cofactor(self, i: int, j: int) -> FieldElem:
         """Signed minor determinant; defined for singular matrices too."""
-        rows = self.entries[:i] + self.entries[i + 1:]
-        det = _solve(self.ctx, [row[:j] + row[j + 1:] for row in rows], 0)[0]
+        minor = [r[:j] + r[j + 1:] for r in self.rows[:i] + self.rows[i + 1:]]
+        det = FieldElem(self.ctx, _solve(self.ctx, minor, 0)[0])
         return det if (i + j) % 2 == 0 else -det
 
     def __eq__(self, other):
         if not isinstance(other, DicksonMatrix):
             return NotImplemented
-        return self.ctx == other.ctx and self.entries == other.entries
+        return self.ctx == other.ctx and self.rows == other.rows
 
     def __repr__(self):
         encs = [[c.to_int() for c in row] for row in self.entries]
         return f"DicksonMatrix({encs} over {self.ctx!r})"
 
 
-def _solve(ctx, entries, k):
-    """(det, X) for the square matrix D given by its rows: X[i] is the
-    solution x of x D = e_i, row i of D^-1, for i < k; X is None when D is
-    singular.
+def _solve(ctx, rows, k):
+    """(det, X), packed, for the square matrix D given by its packed
+    ``rows``: X[i] is the solution x of x D = e_i, row i of D^-1, for
+    i < k; X is None when D is singular.
 
     Division-free forward elimination on [D^T | e_0 ... e_(k-1)] takes the
     first nonzero entry of each column as its pivot and clears each nonzero
@@ -201,26 +220,26 @@ def _solve(ctx, entries, k):
     is only formed when both operands are nonzero, so an entry costs field
     work only while it is nonzero.  An empty D has det one.
     """
-    mul, inv = ctx.int_ops()
+    mul, inv, _ = ctx.int_ops()
     pk = ctx.packing
     sub = _kernel.submod
-    n = len(entries)
-    rows = [[c.packed for c in col] for col in zip(*entries)]
-    for i, row in enumerate(rows):
-        row += [1 if t == i else 0 for t in range(k)]
+    n = len(rows)
+    rows = [list(col) + [1 if t == i else 0 for t in range(k)]
+            for i, col in enumerate(zip(*rows))]
     det = scale = 1
     for col in range(n):
         for pivot_row in range(col, n):
             if rows[pivot_row][col]:
                 break
         else:
-            return ctx.zero, None
+            return 0, None
         if pivot_row != col:
             rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
             det = sub(0, det, pk)
         top = rows[col]
         pivot = top[col]
-        det = mul(det, pivot)
+        if not k:
+            det = mul(det, pivot)
         for row in rows[col + 1:]:
             f = row[col]
             if f:
@@ -230,7 +249,9 @@ def _solve(ctx, entries, k):
                      else mul(pivot, x) if x else 0)
                     for x, y in zip(row[col + 1:], top[col + 1:])]
     pivots = [row[i] for i, row in enumerate(rows)] if k else []
-    inverses = _inverse_all([scale] + pivots, mul, inv)
+    inverses, product = _inverse_all([scale] + pivots, mul, inv)
+    if k:  # product / scale is the pivots' product, which det lacks
+        det = mul(det, mul(product, inverses[0]))
     det = mul(det, inverses[0])
     solutions = []
     for t in range(n, n + k):
@@ -242,14 +263,13 @@ def _solve(ctx, entries, k):
                 if row[j] and x[j]:
                     acc = sub(acc, mul(row[j], x[j]), pk)
             x[i] = mul(acc, inverses[i + 1]) if acc else 0
-        solutions.append([FieldElem(ctx, v) for v in x])
-    return FieldElem(ctx, det), solutions
+        solutions.append(x)
+    return det, solutions
 
 
 def _inverse_all(values, mul, inv):
-    """Inverses of the nonzero ``values`` from one ``inv`` call
-    (Montgomery's trick): invert the product of them all, then peel the
-    factors off one at a time from the end."""
+    """Inverses of the nonzero ``values``, and their product, from one ``inv``
+    call (Montgomery's trick): invert the product, peel factors off the end."""
     prefix = [values[0]]
     for v in values[1:]:
         prefix.append(mul(prefix[-1], v))
@@ -259,7 +279,7 @@ def _inverse_all(values, mul, inv):
         out[i] = mul(acc, prefix[i - 1])
         acc = mul(acc, values[i])
     out[0] = acc
-    return out
+    return out, prefix[-1]
 
 
 def is_permutation_dickson(L: LinearizedPoly) -> bool:
@@ -268,11 +288,6 @@ def is_permutation_dickson(L: LinearizedPoly) -> bool:
 
 
 def inverse_dickson(L: LinearizedPoly) -> LinearizedPoly:
-    """Compositional inverse through the Dickson matrix.
-
-    The inverse polynomial is row 0 of the inverse of L's Dickson matrix,
-    found by solving one linear system rather than inverting the matrix;
-    see :meth:`DicksonMatrix.inverse_poly`, which also re-checks the
-    determinant by cofactor expansion.
-    """
+    """Compositional inverse through the Dickson matrix, by one linear solve
+    and a cofactor-expansion check; see :meth:`DicksonMatrix.inverse_poly`."""
     return L.dickson_matrix().inverse_poly()

@@ -23,10 +23,10 @@ import math
 import random
 import time
 
-from . import _kernel, binomial
+from . import _kernel, binomial, linpoly
 from .errors import CapacityError, ContextMismatchError
-from .ffield import (FieldCtx, _embedding_powers, check_characteristic,
-                     field_ctx)
+from .ffield import (FieldCtx, FieldElem, _embedding_powers,
+                     check_characteristic, field_ctx)
 from .linpoly import LinearizedPoly
 
 # Hard safety cap on exhaustive enumeration, in field elements.
@@ -44,7 +44,7 @@ CHECK_AGREEMENT = "agreement"
 CHECK_LIFT = "lift"
 
 # Work units a sweep counts in ``SweepReport.counts``: eliminations run on
-# Dickson matrices (determinant, cofactor, row-0 solve), brute-force image
+# Dickson matrices (one solve per case, one per cofactor), brute-force image
 # tables, and every ``LinearizedPoly.eval`` (the tables' spot checks, and
 # m + |sample| points per inverse).  Each is a function of the config alone.
 COUNTS = ("eliminations", "tables", "direct_evaluations")
@@ -284,7 +284,7 @@ def sweep(cfg: SweepConfig) -> SweepReport:
     matrix-method inverse (and the special forms); for r = 1 the cofactor
     closed forms are checked; and permutations are lifted by every factor t
     coprime to n whose field fits the cap, t = 1 included, and rechecked
-    exhaustively.  L's Dickson matrix serves the determinant, cofactor and
+    exhaustively.  One solve of L's Dickson matrix serves the determinant and
     matrix-inverse checks, and L's table the inverse and every lift equal to L
     (t = 1).  Work is counted per unit in ``report.counts`` (see ``COUNTS``).
     Failures are collected, not raised: an internal consistency check that
@@ -329,8 +329,9 @@ def sweep(cfg: SweepConfig) -> SweepReport:
                         fail(CHECK_CRITERION, f"norm criterion: {exc}")
                         perm_norm = None
                     D = L.dickson_matrix()
-                    det = D.det()
+                    solved = linpoly._solve(ctx, D.rows, 1)  # det, row 0 of D^-1
                     counts["eliminations"] += 1
+                    det = FieldElem(ctx, solved[0])
                     perm_det = bool(det)
                     # det D = delta^(1 + q + ... + q^(d-1)), delta = N(a) +
                     # (-1)^(n/d - 1): the cycles of j -> j + r mod n make D
@@ -376,9 +377,8 @@ def sweep(cfg: SweepConfig) -> SweepReport:
                         fail(CHECK_INVERSE, "pointwise inverse check failed")
 
                 with _timer(timings, CHECK_AGREEMENT):
-                    counts["eliminations"] += 1
                     try:
-                        M_dickson = D.inverse_poly()
+                        M_dickson = D._checked_inverse(*solved)
                     except AssertionError as exc:
                         fail(CHECK_AGREEMENT, f"matrix method: {exc}")
                     else:

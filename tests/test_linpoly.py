@@ -42,8 +42,9 @@ def leibniz(ctx, rows):
 def matmul(A, B):
     """The product of two Dickson matrices, entry by entry."""
     n = A.ctx.n
+    a, b = A.entries, B.entries
     return DicksonMatrix(A.ctx, [
-        [sum((A.entries[i][k] * B.entries[k][j] for k in range(n)), A.ctx.zero)
+        [sum((a[i][k] * b[k][j] for k in range(n)), A.ctx.zero)
          for j in range(n)] for i in range(n)])
 
 
@@ -140,13 +141,40 @@ class TestDicksonMatrix:
         assert encs(D) == [[0, 0], [0, 0]]
 
     def test_structure(self):
-        ctx = field_ctx(2, 1, 4)
         rng = random.Random(5)
-        L = LinearizedPoly(ctx, [ctx.random_element(rng) for _ in range(4)])
-        D = L.dickson_matrix()
-        for i in range(4):
-            for j in range(4):
-                assert D.entries[i][j] == L.coeffs[(j - i) % 4].frobenius(ctx.e * i)
+        # GF(3^9) and GF(2^16) are above LOG_TABLE_MAX_ORDER, where the rows
+        # are built with _kernel.matvec, not log tables
+        for p, e, n in [(2, 1, 4), (3, 3, 3), (2, 2, 8)]:
+            ctx = field_ctx(p, e, n)
+            dense = LinearizedPoly(
+                ctx, [ctx.random_element(rng) for _ in range(n)])
+            binomial = BinomialSpec(ctx.random_element(rng), n - 1).poly()
+            for L in (dense, binomial):
+                entries = L.dickson_matrix().entries
+                for i in range(n):
+                    for j in range(n):
+                        assert entries[i][j] == (
+                            L.coeffs[(j - i) % n].frobenius(ctx.e * i))
+
+    def test_binomial_rows_skip_the_constant(self, monkeypatch):
+        """Over GF(3^32) a binomial's matrix maps a alone: at most one
+        _kernel.matvec per row, as the Frobenius fixes the constant 1."""
+        ctx = field_ctx(3, 1, 32)
+        assert ctx.order > LOG_TABLE_MAX_ORDER
+        calls = []
+        real = _kernel.matvec
+
+        def matvec(cols, v, pk):
+            calls.append(v)
+            return real(cols, v, pk)
+
+        monkeypatch.setattr(_kernel, "matvec", matvec)
+        rng = random.Random(33)
+        for r in (1, 7, 16, 31):
+            L = BinomialSpec(ctx.random_element(rng), r).poly()
+            L.dickson_matrix()
+            assert 0 < len(calls) <= ctx.n, r
+            calls.clear()
 
     def test_row_zero_recovers_poly(self, L):
         assert LinearizedPoly(L.ctx, L.dickson_matrix().entries[0]) == L
@@ -320,20 +348,17 @@ class TestInverseDickson:
             assert M.compose(L) == ident
 
     def test_no_product_has_a_zero_operand(self, monkeypatch):
-        # the elimination multiplies packed ints through FieldCtx.int_ops,
-        # the cofactor-expansion check elements through FieldElem.__mul__
+        # the matrix, the elimination, the inverse's checks and eval run on
+        # packed ints through FieldCtx.int_ops; frob takes zero, and every
+        # image it gives must be the element path's
         zero_products = []
+        wrong_images = []
         int_fields = set()
-        real = FieldElem.__mul__
+        frob_fields = set()
         real_ops = FieldCtx.int_ops
 
-        def mul(self, other):
-            if not (self and other):
-                zero_products.append((self.to_int(), other.to_int()))
-            return real(self, other)
-
         def int_ops(ctx):
-            int_mul, int_inv = real_ops(ctx)
+            int_mul, int_inv, int_frob = real_ops(ctx)
 
             def checked_mul(a, b):
                 int_fields.add(ctx.order)
@@ -346,9 +371,15 @@ class TestInverseDickson:
                     zero_products.append((a,))
                 return int_inv(a)
 
-            return checked_mul, checked_inv
+            def checked_frob(x, k):
+                frob_fields.add(ctx.order)
+                image = int_frob(x, k)
+                if image != FieldElem(ctx, x).frobenius(k).packed:
+                    wrong_images.append((x, k, image))
+                return image
 
-        monkeypatch.setattr(FieldElem, "__mul__", mul)
+            return checked_mul, checked_inv, checked_frob
+
         monkeypatch.setattr(FieldCtx, "int_ops", int_ops)
         # GF(3^9) is above LOG_TABLE_MAX_ORDER, where a zero operand would
         # pass through _kernel.mulmod silently
@@ -363,9 +394,12 @@ class TestInverseDickson:
                         ctx, [ctx.random_element(rng) for _ in range(n)])
                     for poly in (binomial, dense):
                         if poly.dickson_matrix().det():
-                            inverse_dickson(poly)
-        assert zero_products == []
-        assert int_fields == {p ** (e * n) for p, e, n in fields}
+                            inverse = inverse_dickson(poly)
+                            inverse.eval(ctx.zero)
+                            inverse.eval(ctx.random_element(rng))
+        assert zero_products == [] and wrong_images == []
+        assert int_fields == frob_fields == {
+            p ** (e * n) for p, e, n in fields}
 
     def test_one_inversion_per_solve(self, monkeypatch):
         """Over GF(3^32) an n = 32 solve makes one Euclid, not one per

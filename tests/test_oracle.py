@@ -235,11 +235,11 @@ class TestSweep:
         report = sweep(SweepConfig(max_field_order=16, primes=(2,)))
         counts = report.counts
         assert set(counts) == set(oracle.COUNTS)
-        # a determinant per case, a solve per permutation, and n cofactors
-        # for each r = 1, a != 0 case of GF(4), GF(8), GF(16) and GF(4^2)
+        # one solve per case, giving the determinant and a permutation's
+        # inverse, and n cofactors for each r = 1, a != 0 case of GF(4),
+        # GF(8), GF(16) and GF(4^2)
         cofactor_eliminations = 3 * 2 + 7 * 3 + 15 * 4 + 15 * 2
-        assert counts["eliminations"] == (
-            report.cases + report.permutation_cases + cofactor_eliminations)
+        assert counts["eliminations"] == report.cases + cofactor_eliminations
         # each lift here has t = 1, so it is checked on its case's table,
         # and inverses are checked on it pointwise: one table per case
         assert report.lift_checks == report.permutation_cases > 0
@@ -277,10 +277,18 @@ class TestSweep:
     def test_determinant_sign_fault_is_one_record_per_permutation(
             self, monkeypatch):
         # -det is nonzero exactly when det is, so bool(det) misses it and the
-        # determinant's closed form records it once per permutation case
-        real = linpoly.DicksonMatrix.det
-        monkeypatch.setattr(linpoly.DicksonMatrix, "det",
-                            lambda self: -real(self))
+        # determinant's closed form records it once per permutation case.
+        # The fault is in each case's one solve (k = 1); the cofactors' own
+        # solves (k = 0) are left intact
+        real = linpoly._solve
+
+        def negated(ctx, rows, k):
+            det, solutions = real(ctx, rows, k)
+            if k == 1:
+                det = _kernel.submod(0, det, ctx.packing)
+            return det, solutions
+
+        monkeypatch.setattr(linpoly, "_solve", negated)
         report = sweep(SweepConfig(max_field_order=81, primes=(3,)))
         criterion = report.failures_for(CHECK_CRITERION)
         assert len(criterion) == report.permutation_cases > 0
@@ -412,10 +420,10 @@ def break_cofactor_check(monkeypatch):
     of the matrix method disagrees with the determinant whenever a != 0."""
     real = linpoly._solve
 
-    def faulty(ctx, entries, k):
-        det, solutions = real(ctx, entries, k)
+    def faulty(ctx, rows, k):
+        det, solutions = real(ctx, rows, k)
         if solutions:
-            solutions[0][0] = solutions[0][0] + ctx.one
+            solutions[0][0] = _kernel.addmod(solutions[0][0], 1, ctx.packing)
         return det, solutions
 
     monkeypatch.setattr(linpoly, "_solve", faulty)
