@@ -13,19 +13,19 @@ The q-power Frobenius is the e-fold p-power Frobenius, so one basis carries
 the whole tower.  Relative norms are doubling chains of Frobenius images
 and products, so no big-integer exponent is ever formed on the main paths.
 
-How products, inverses, powers and Frobenius images are computed depends on
-the field order alone.  A context of at most ``LOG_TABLE_MAX_ORDER``
-elements builds, on its first multiplicative operation, an antilog table
-of the powers of its smallest-encoding primitive element g and the inverse
-log table; then x*y = g^(log x + log y), 1/x = g^(-log x),
-x^k = g^(k log x) and x^(p^k) = g^(p^k log x), exponents mod order - 1.
-A larger context never builds tables: products and Frobenius maps, each
-cached as its m packed columns, run on the packed-integer kernels with the
-context's ``packing``; inverses come from the extended Euclidean algorithm
-on packed polynomials (``_kernel.invmod``) and powers from
-square-and-multiply.  Addition, subtraction and negation are slotwise on
-the packed ints either way.  :meth:`FieldCtx.int_ops` makes the same choice
-once per context for loops that run on packed ints rather than elements.
+How products, inverses and Frobenius images are computed depends on the
+field order alone, and :meth:`FieldCtx.int_ops` alone decides it, once per
+context, for :class:`FieldElem` and the packed loops of ``linpoly`` alike.
+A context of at most ``LOG_TABLE_MAX_ORDER`` elements builds an antilog
+table of the powers of its smallest-encoding primitive element g and the
+inverse log table; then x*y = g^(log x + log y), 1/x = g^(-log x) and
+x^(p^k) = g^(p^k log x), exponents mod order - 1.  A larger context never
+builds tables: products and Frobenius maps, each cached as its m packed
+columns, run on the packed-integer kernels with the context's ``packing``,
+and inverses come from the extended Euclidean algorithm on packed
+polynomials (``_kernel.invmod``).  Powers are square-and-multiply over the
+chosen product.  Addition, subtraction and negation are slotwise on the
+packed ints either way.
 """
 
 from __future__ import annotations
@@ -186,10 +186,10 @@ class FieldCtx:
     operations is cheap and thread-safe in the memoized-recompute sense:
     the packed columns of each Frobenius power, the int-level operations
     of :meth:`int_ops`, and, when ``order <= LOG_TABLE_MAX_ORDER``, the log
-    and antilog tables, built by the first product, inverse, power or
-    Frobenius image taken in the context or the first :meth:`int_ops` call
-    (see :meth:`_log_tables`).  Creating a context, converting encodings
-    and adding never build them.
+    and antilog tables, built by the first :meth:`int_ops` call, which the
+    first nonzero product, inverse or power or the first Frobenius image
+    makes (see :meth:`_log_tables`).  Creating a context, converting
+    encodings and adding never build them.
     """
 
     __slots__ = ("p", "e", "n", "m", "q", "order", "modulus", "packing",
@@ -287,16 +287,23 @@ class FieldCtx:
         """(mul, inv, frob) on packed ints, chosen once per context: log-table
         lookups, else ``_kernel.mulmod``, ``invmod`` and ``matvec``.  ``mul``
         and ``inv`` take no zero operand; ``frob(x, k)`` = x^(p^k) returns x
-        as it is when k = 0 or x is a GF(p) constant (x < 256^width)."""
+        as it is when k = 0 or x is a GF(p) constant (x < 256^width), but
+        above the cap still builds the map of k for every nonzero x, so
+        ``one.frobenius(k)`` warms it."""
         if self._ops is None:
             log = self._log_tables()
             fixed = 1 << 8 * self.packing.width
             if log is None:
                 pk, maps = self.packing, self._frobenius_map
+
+                def frob(x, k):
+                    if not (x and k):
+                        return x
+                    cols = maps(k)
+                    return x if x < fixed else _kernel.matvec(
+                        cols, _kernel.digits(x, pk), pk)
                 self._ops = (lambda a, b: _kernel.mulmod(a, b, pk),
-                             lambda a: _kernel.invmod(a, pk),
-                             lambda x, k: x if x < fixed or not k else
-                             _kernel.matvec(maps(k), _kernel.digits(x, pk), pk))
+                             lambda a: _kernel.invmod(a, pk), frob)
             else:
                 exp, units, p = self._exp, self.order - 1, self.p
                 self._ops = (lambda a, b: exp[log[a] + log[b]],
@@ -335,7 +342,8 @@ def field_ctx(p: int, e: int, n: int) -> FieldCtx:
 
 class FieldElem:
     """One element of a field context, as its packed int (the key of the
-    log table in small contexts)."""
+    log table in small contexts).  Products, inverses, powers and Frobenius
+    images check their operands and call :meth:`FieldCtx.int_ops`."""
 
     __slots__ = ("ctx", "packed")
 
@@ -367,15 +375,10 @@ class FieldElem:
     def __mul__(self, other):
         other = self._peer(other)
         ctx = self.ctx
-        log = ctx._log or ctx._log_tables()
-        if log is None:
-            return FieldElem(ctx, _kernel.mulmod(
-                self.packed, other.packed, ctx.packing))
-        la = log.get(self.packed)
-        lb = log.get(other.packed)
-        if la is None or lb is None:
+        if not (self.packed and other.packed):
             return ctx.zero
-        return FieldElem(ctx, ctx._exp[la + lb])
+        mul = (ctx._ops or ctx.int_ops())[0]
+        return FieldElem(ctx, mul(self.packed, other.packed))
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
@@ -383,41 +386,25 @@ class FieldElem:
         if exponent < 0:
             return self.inv() ** (-exponent)
         ctx = self.ctx
-        log = ctx._log or ctx._log_tables()
-        if log is None:
-            if self.packed:
-                exponent %= ctx.order - 1
-            return FieldElem(ctx, _power(self.packed, exponent, ctx._mul, 1))
-        lx = log.get(self.packed)
-        if lx is None:
+        if not self.packed:
             return ctx.one if exponent == 0 else ctx.zero
-        return FieldElem(ctx, ctx._exp[lx * exponent % (ctx.order - 1)])
+        mul = (ctx._ops or ctx.int_ops())[0]
+        return FieldElem(ctx, _power(self.packed, exponent % (ctx.order - 1),
+                                     mul, 1))
 
     def inv(self) -> "FieldElem":
         ctx = self.ctx
-        log = ctx._log or ctx._log_tables()
-        if log is None:
-            return FieldElem(ctx, _kernel.invmod(self.packed, ctx.packing))
-        lx = log.get(self.packed)
-        if lx is None:
+        if not self.packed:
             raise ZeroDivisionError("inverse of the zero field element")
-        return FieldElem(ctx, ctx._exp[ctx.order - 1 - lx])
+        return FieldElem(ctx, (ctx._ops or ctx.int_ops())[1](self.packed))
 
     def frobenius(self, k: int) -> "FieldElem":
         """x -> x^(p^k); the q^j-power map is frobenius(e*j)."""
         if k < 0:
             raise ValueError("Frobenius power must be nonnegative")
         ctx = self.ctx
-        log = ctx._log or ctx._log_tables()
-        if log is None:
-            pk = ctx.packing
-            return FieldElem(ctx, _kernel.matvec(
-                ctx._frobenius_map(k), _kernel.digits(self.packed, pk), pk))
-        lx = log.get(self.packed)
-        if lx is None:
-            return self
-        units = ctx.order - 1
-        return FieldElem(ctx, ctx._exp[lx * pow(ctx.p, k, units) % units])
+        return FieldElem(ctx, (ctx._ops or ctx.int_ops())[2](self.packed, k))
+
     def norm_rel(self, d: int) -> "FieldElem":
         """Relative norm onto GF(q^d): the product of the q^d-conjugates.
 

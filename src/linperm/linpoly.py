@@ -8,8 +8,9 @@ inverse of a permutation is the first row of the inverse matrix.  One
 elimination routine, :func:`_solve`, gives every matrix quantity: the
 determinant, cofactors, that first row and the whole inverse.  It makes
 one field inversion per call, so a big-field solve costs one Euclid, not n.
-Evaluation and Dickson matrices run on packed ints end to end; field
-elements are built only for what a public method returns.
+Evaluation, composition and Dickson matrices run on packed ints end to
+end, through :meth:`~linperm.ffield.FieldCtx.int_ops`; field elements are
+built only for what a public method returns.
 """
 
 from __future__ import annotations
@@ -32,11 +33,8 @@ class LinearizedPoly:
         if len(coeffs) != ctx.n:
             raise ValueError(
                 f"need exactly n={ctx.n} coefficients, got {len(coeffs)}")
-        for c in coeffs:
-            if not isinstance(c, FieldElem):
-                raise TypeError("coefficients must be field elements")
-            if c.ctx is not ctx and c.ctx != ctx:
-                raise ContextMismatchError("coefficient from a different context")
+        for c in coeffs:  # raises unless c is an element of ctx
+            ctx.zero._peer(c)
         self.ctx = ctx
         self.coeffs = coeffs
 
@@ -70,8 +68,7 @@ class LinearizedPoly:
         One Frobenius image per nonzero coefficient past a_0, on packed ints.
         """
         ctx = self.ctx
-        if x.ctx is not ctx and x.ctx != ctx:
-            raise ContextMismatchError("argument from a different context")
+        ctx.zero._peer(x)
         if not x.packed:
             return ctx.zero
         mul, _, frob = ctx.int_ops()
@@ -85,21 +82,22 @@ class LinearizedPoly:
     def compose(self, other: "LinearizedPoly") -> "LinearizedPoly":
         """Coefficients of self(other(x)), reduced modulo x^(q^n) - x.
 
-        c_k = sum over i+j = k (mod n) of a_i * b_j^(q^i).
+        c_k = sum over i+j = k (mod n) of a_i * b_j^(q^i), on packed ints.
         """
         ctx = self.ctx
         if other.ctx is not ctx and other.ctx != ctx:
             raise ContextMismatchError("composition across contexts")
-        n = ctx.n
-        out = [ctx.zero] * n
+        mul, _, frob = ctx.int_ops()
+        n, pk = ctx.n, ctx.packing
+        bs = [b.packed for b in other.coeffs]
+        out = [0] * n
         for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
-                out[(i + j) % n] = out[(i + j) % n] + a * b.frobenius(ctx.e * i)
-        return LinearizedPoly(ctx, out)
+            if a.packed:
+                for j, b in enumerate(bs):
+                    if b:
+                        out[(i + j) % n] = _kernel.addmod(out[(i + j) % n], mul(
+                            a.packed, frob(b, ctx.e * i)), pk)
+        return LinearizedPoly(ctx, [FieldElem(ctx, v) for v in out])
 
     def dickson_matrix(self) -> "DicksonMatrix":
         # row i is the q^i-th powers of the coefficients rotated i slots
@@ -130,7 +128,8 @@ class DicksonMatrix:
     __slots__ = ("ctx", "rows")
 
     def __init__(self, ctx: FieldCtx, entries):
-        rows = tuple(tuple(c.packed for c in row) for row in entries)
+        rows = tuple(tuple(ctx.zero._peer(c).packed for c in row)
+                     for row in entries)
         n = ctx.n
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"need an n x n array with n={n}")

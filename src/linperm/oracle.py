@@ -103,9 +103,11 @@ def _kernel_size(img: list[int]) -> int | None:
 def _inverts(img_l: list[int], M: LinearizedPoly) -> bool:
     """True iff L(M(x)) = x, L given by its image table, at the m basis
     vectors (so everywhere, L o M being GF(p)-linear, and then M o L = x as
-    L is onto) and at the direct sample, which spot-checks ``M.eval``."""
+    L is onto) and at the direct sample, which spot-checks ``M.eval``.  The
+    basis vectors x^k, of encoding p^k, are the cached identity columns."""
     ctx = M.ctx
-    basis = [(ctx.p**k, ctx.from_int(ctx.p**k)) for k in range(ctx.m)]
+    basis = [(ctx.p**k, FieldElem(ctx, col))
+             for k, col in enumerate(ctx._frobenius_map(0))]
     return all(img_l[M.eval(x).to_int()] == enc
                for enc, x in basis + list(_direct_sample(ctx)))
 

@@ -315,6 +315,19 @@ class TestFrobenius:
                     assert (x * y).frobenius(k) == x.frobenius(k) * y.frobenius(k)
 
 
+    def test_one_warms_the_map_above_the_cap(self):
+        # the GF(p) constants skip the matvec but still build the map of k,
+        # so one.frobenius(k) sets a big field up; zero and k = 0 build none
+        ctx = FieldCtx(3, 1, 32)
+        assert ctx.order > ffield.LOG_TABLE_MAX_ORDER
+        assert ctx.one.frobenius(0) == ctx.one and not ctx._frob
+        for k in (5, 2, 40, 64):
+            built = dict(ctx._frob)
+            assert ctx.zero.frobenius(k) == ctx.zero
+            assert ctx._frob == built
+            assert ctx.one.frobenius(k) == ctx.one
+            assert k % ctx.m in ctx._frob
+
     @pytest.mark.parametrize("p,e,n", [(3, 1, 32), (1009, 1, 6)])
     def test_packed_maps_match_basis_powers(self, p, e, n):
         # column j of map k is the basis vector x^j raised to p^k
@@ -599,13 +612,15 @@ class TestLogTables:
 
     def test_corrupted_antilog_entry_is_caught_by_the_sweep(self, monkeypatch):
         # the brute-force tables use the vector kernels, so the direct
-        # evaluations, now on the log tables, disagree with them
+        # evaluations, now on the log tables, disagree with them; int_ops
+        # is rebuilt so that its closures read the corrupted table
         ctx = field_ctx(3, 1, 3)
         ctx.one * ctx.one
         corrupt = list(ctx._exp)
         for i in (5, 5 + ctx.order - 1):
             corrupt[i] = corrupt[6]
         monkeypatch.setattr(ctx, "_exp", corrupt)
+        monkeypatch.setattr(ctx, "_ops", None)
         report = oracle.sweep(oracle.SweepConfig(max_field_order=27,
                                                  primes=(3,)))
         assert report.cases == 9 + 2 * 27

@@ -94,6 +94,10 @@ class TestEval:
         with pytest.raises(ContextMismatchError):
             L.eval(field_ctx(3, 2, 1).one)
 
+    def test_argument_must_be_an_element(self, L):
+        with pytest.raises(TypeError):
+            L.eval(3)
+
     def test_monomial_slot_is_checked(self, f9):
         with pytest.raises(ValueError):
             LinearizedPoly.monomial(f9, 2)
@@ -182,6 +186,13 @@ class TestDicksonMatrix:
     def test_shape_is_checked(self, f9):
         with pytest.raises(ValueError):
             DicksonMatrix(f9, [[f9.one]])
+
+    def test_entries_must_be_elements_of_the_context(self, f9):
+        with pytest.raises(TypeError):
+            DicksonMatrix(f9, [[f9.one, 1], [f9.zero, f9.one]])
+        with pytest.raises(ContextMismatchError):
+            DicksonMatrix(f9, [[f9.one, field_ctx(5, 1, 2).one],
+                               [f9.zero, f9.one]])
 
 
 class TestDeterminantAndInverse:
@@ -348,9 +359,9 @@ class TestInverseDickson:
             assert M.compose(L) == ident
 
     def test_no_product_has_a_zero_operand(self, monkeypatch):
-        # the matrix, the elimination, the inverse's checks and eval run on
-        # packed ints through FieldCtx.int_ops; frob takes zero, and every
-        # image it gives must be the element path's
+        # the matrix, the elimination, the inverse's checks, eval and
+        # compose run on packed ints through FieldCtx.int_ops; frob takes
+        # zero, and every image it gives must be the Frobenius map's
         zero_products = []
         wrong_images = []
         int_fields = set()
@@ -374,7 +385,9 @@ class TestInverseDickson:
             def checked_frob(x, k):
                 frob_fields.add(ctx.order)
                 image = int_frob(x, k)
-                if image != FieldElem(ctx, x).frobenius(k).packed:
+                pk = ctx.packing
+                if image != _kernel.matvec(ctx._frobenius_map(k),
+                                           _kernel.digits(x, pk), pk):
                     wrong_images.append((x, k, image))
                 return image
 
@@ -397,6 +410,7 @@ class TestInverseDickson:
                             inverse = inverse_dickson(poly)
                             inverse.eval(ctx.zero)
                             inverse.eval(ctx.random_element(rng))
+                            poly.compose(inverse)
         assert zero_products == [] and wrong_images == []
         assert int_fields == frob_fields == {
             p ** (e * n) for p, e, n in fields}
