@@ -13,18 +13,19 @@ The q-power Frobenius is the e-fold p-power Frobenius, so one basis carries
 the whole tower.  Relative norms are doubling chains of Frobenius images
 and products, so no big-integer exponent is ever formed on the main paths.
 
-How products, inverses and Frobenius images are computed depends on the
-field order alone, and :meth:`FieldCtx.int_ops` alone decides it, once per
-context, for :class:`FieldElem` and the packed loops of ``linpoly`` alike.
-A context of at most ``LOG_TABLE_MAX_ORDER`` elements builds an antilog
-table of the powers of its smallest-encoding primitive element g and the
-inverse log table; then x*y = g^(log x + log y), 1/x = g^(-log x) and
-x^(p^k) = g^(p^k log x), exponents mod order - 1.  A larger context never
-builds tables: products and Frobenius maps, each cached as its m packed
-columns, run on the packed-integer kernels with the context's ``packing``,
-and inverses come from the extended Euclidean algorithm on packed
-polynomials (``_kernel.invmod``).  Powers are square-and-multiply over the
-chosen product.  Addition, subtraction and negation are slotwise on the
+How products, inverses, Frobenius images and powers are computed depends
+on the field order alone, and :meth:`FieldCtx.int_ops` alone decides it,
+once per context, for :class:`FieldElem` and the packed loops of
+``linpoly`` alike.  A context of at most ``LOG_TABLE_MAX_ORDER`` elements
+builds an antilog table of the powers of its smallest-encoding primitive
+element g and the inverse log table; then x*y = g^(log x + log y),
+1/x = g^(-log x), x^(p^k) = g^(p^k log x) and x^k = g^(k log x),
+exponents mod order - 1.  A larger context never builds tables: products
+and Frobenius maps, each cached as its m packed columns, run on the
+packed-integer kernels with the context's ``packing``, inverses come from
+the extended Euclidean algorithm on packed polynomials
+(``_kernel.invmod``), and powers are square-and-multiply over the packed
+product.  Addition, subtraction and negation are slotwise on the
 packed ints either way.
 """
 
@@ -284,17 +285,22 @@ class FieldCtx:
         return log
 
     def int_ops(self):
-        """(mul, inv, frob) on packed ints, chosen once per context: log-table
-        lookups, else ``_kernel.mulmod``, ``invmod`` and ``matvec``.  ``mul``
-        and ``inv`` take no zero operand; ``frob(x, k)`` = x^(p^k) returns x
-        as it is when k = 0 or x is a GF(p) constant (x < 256^width), but
-        above the cap still builds the map of k for every nonzero x, so
-        ``one.frobenius(k)`` warms it."""
+        """(mul, inv, frob, pow) on packed ints, chosen once per context:
+        log-table lookups, else ``_kernel.mulmod``, ``invmod`` and
+        ``matvec``, and square-and-multiply over ``mulmod`` for ``pow(x, k)``
+        = x^k, k >= 0.  ``mul``, ``inv`` and ``pow`` take no zero operand;
+        ``frob(x, k)`` = x^(p^k) returns x as it is when k = 0 or x is a
+        GF(p) constant (x < 256^width), but above the cap still builds the
+        map of k for every nonzero x, so ``one.frobenius(k)`` warms it."""
         if self._ops is None:
             log = self._log_tables()
             fixed = 1 << 8 * self.packing.width
+            units = self.order - 1
             if log is None:
                 pk, maps = self.packing, self._frobenius_map
+
+                def mul(a, b):
+                    return _kernel.mulmod(a, b, pk)
 
                 def frob(x, k):
                     if not (x and k):
@@ -302,14 +308,15 @@ class FieldCtx:
                     cols = maps(k)
                     return x if x < fixed else _kernel.matvec(
                         cols, _kernel.digits(x, pk), pk)
-                self._ops = (lambda a, b: _kernel.mulmod(a, b, pk),
-                             lambda a: _kernel.invmod(a, pk), frob)
+                self._ops = (mul, lambda a: _kernel.invmod(a, pk), frob,
+                             lambda x, k: _power(x, k % units, mul, 1))
             else:
-                exp, units, p = self._exp, self.order - 1, self.p
+                exp, p = self._exp, self.p
                 self._ops = (lambda a, b: exp[log[a] + log[b]],
                              lambda a: exp[units - log[a]],
                              lambda x, k: x if x < fixed or not k else
-                             exp[log[x] * pow(p, k, units) % units])
+                             exp[log[x] * pow(p, k, units) % units],
+                             lambda x, k: exp[log[x] * k % units])
         return self._ops
 
     def _mul(self, a, b):
@@ -388,9 +395,8 @@ class FieldElem:
         ctx = self.ctx
         if not self.packed:
             return ctx.one if exponent == 0 else ctx.zero
-        mul = (ctx._ops or ctx.int_ops())[0]
-        return FieldElem(ctx, _power(self.packed, exponent % (ctx.order - 1),
-                                     mul, 1))
+        return FieldElem(ctx, (ctx._ops or ctx.int_ops())[3](self.packed,
+                                                             exponent))
 
     def inv(self) -> "FieldElem":
         ctx = self.ctx

@@ -71,7 +71,7 @@ class LinearizedPoly:
         ctx.zero._peer(x)
         if not x.packed:
             return ctx.zero
-        mul, _, frob = ctx.int_ops()
+        mul, _, frob, _ = ctx.int_ops()
         acc = 0
         for i, a in enumerate(self.coeffs):
             if a.packed:
@@ -87,7 +87,7 @@ class LinearizedPoly:
         ctx = self.ctx
         if other.ctx is not ctx and other.ctx != ctx:
             raise ContextMismatchError("composition across contexts")
-        mul, _, frob = ctx.int_ops()
+        mul, _, frob, _ = ctx.int_ops()
         n, pk = ctx.n, ctx.packing
         bs = [b.packed for b in other.coeffs]
         out = [0] * n
@@ -176,7 +176,7 @@ class DicksonMatrix:
         ctx = self.ctx
         if solutions is None:
             raise SingularMatrixError("polynomial does not permute the field")
-        mul, _, frob = ctx.int_ops()
+        mul, _, frob, _ = ctx.int_ops()
         expansion = 0
         for row, xi in zip(self.rows, solutions[0]):
             if row[0] and xi:
@@ -188,6 +188,9 @@ class DicksonMatrix:
 
     def cofactor(self, i: int, j: int) -> FieldElem:
         """Signed minor determinant; defined for singular matrices too."""
+        n = self.ctx.n
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"cofactor ({i}, {j}) outside [0, {n})")
         minor = [r[:j] + r[j + 1:] for r in self.rows[:i] + self.rows[i + 1:]]
         det = FieldElem(self.ctx, _solve(self.ctx, minor, 0)[0])
         return det if (i + j) % 2 == 0 else -det
@@ -219,7 +222,7 @@ def _solve(ctx, rows, k):
     is only formed when both operands are nonzero, so an entry costs field
     work only while it is nonzero.  An empty D has det one.
     """
-    mul, inv, _ = ctx.int_ops()
+    mul, inv, _, _ = ctx.int_ops()
     pk = ctx.packing
     sub = _kernel.submod
     n = len(rows)

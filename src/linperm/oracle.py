@@ -10,8 +10,9 @@ sample of non-basis elements is re-evaluated directly with
 read L's table alone, its kernel size and whether it sends M(x) back to x
 at the basis vectors and the sample; :func:`brute_is_permutation`,
 :func:`verify_inverse` and :func:`sweep` call them.  Fields above
-``MAX_EXHAUSTIVE_ORDER`` elements are refused, and
-:func:`sweep` runs the full grid over (p, e, n, r, a), collecting failures.
+``MAX_EXHAUSTIVE_ORDER`` elements are refused.  :func:`_check_case` runs
+every check of one binomial and returns the failed ones; :func:`sweep`
+runs it on the full (p, e, n, r, a) grid, collecting failures.
 """
 
 from __future__ import annotations
@@ -140,18 +141,19 @@ class SweepConfig(collections.namedtuple(
         "SweepConfig", "max_field_order primes")):
     """Bounds for the cross-validation grid; immutable and hashable.
 
-    ``max_field_order`` caps p^(e*n) for exhaustive checks, lifted fields
-    included, and alone bounds e, n and the lift factor t; it may not exceed
-    the module safety cap.
+    ``max_field_order``, an int, caps p^(e*n) for exhaustive checks, lifted
+    fields included, and alone bounds e, n and the lift factor t; it may not
+    exceed the module safety cap.
     Every entry of ``primes`` must be a prime no larger than ``MAX_PRIME``.
     """
 
     __slots__ = ()
 
     def __new__(cls, max_field_order: int = 729, primes=(2, 3, 5)):
-        if not 1 <= max_field_order <= MAX_EXHAUSTIVE_ORDER:
-            raise ValueError(
-                f"max_field_order must lie in [1, {MAX_EXHAUSTIVE_ORDER}]")
+        if not (isinstance(max_field_order, int)
+                and 1 <= max_field_order <= MAX_EXHAUSTIVE_ORDER):
+            raise ValueError(f"max_field_order must be an integer in "
+                             f"[1, {MAX_EXHAUSTIVE_ORDER}]")
         primes = tuple(primes)
         for p in primes:
             check_characteristic(p)
@@ -246,173 +248,166 @@ def _lift_factors(p, e, n, cap):
             if math.gcd(t, n) == 1 and p ** (e * n * t) <= cap]
 
 
-def _check_cofactors(spec, D, det):
-    """Closed forms of the first-column cofactors of D for r = 1, a != 0.
+def _table(poly, what, t, counts, failures):
+    """``poly``'s image table, counted in ``counts``.  A table that disagrees
+    with direct evaluation breaks the brute-force oracle, whichever check
+    reads it, so it is a criterion failure, appended to ``failures``."""
+    bad = []
+    img = _images(poly, bad)
+    counts["tables"] += 1
+    counts["direct_evaluations"] += len(_direct_sample(poly.ctx))
+    if bad:
+        failures.append((CHECK_CRITERION, f"{what} table disagrees with "
+                         f"direct evaluation at {bad}", t))
+    return img
 
-    cofactor(i,0) = (-1)^i N(a) a^-(1+q+...+q^i) for every i < n, which is
-    (-1)^(n-1) at i = n - 1, and the determinant ``det`` of D is
-    ``spec.delta`` = N(a) + (-1)^(n-1), with N(a) = ``spec.norm`` (d = 1 at
-    r = 1); all hold whether or not the binomial permutes.  The prefix
-    products a^-(1+q+...+q^i) come from one running chain of conjugates of
-    1/a, one Frobenius and one multiply per step.
-    Returns the number of checks and the (name, got, expected) encodings of
-    those that fail.
+
+def _check_case(spec, lift_ts, report):
+    """Every check of the binomial ``spec``; returns the failed ones in the
+    order they ran, as (check, detail, t), t the lift factor or None.
+
+    The norm, determinant and brute-force criteria must agree, the
+    determinant must match its closed form, a non-permutation must have
+    q^gcd(n, r) kernel elements, and at r = 1 the cofactors must match
+    theirs.  A permutation's closed-form inverse M must compose with L to x
+    both ways, pass :func:`_inverts` on L's table and match the matrix and
+    special-form inverses, and L lifted by each t in ``lift_ts`` must
+    permute and agree with L on the subfield.  One solve of L's Dickson
+    matrix and one table of L serve every check that reads them.  An
+    ``AssertionError`` from an internal check (the norm criterion's
+    denominator check, the matrix method's cofactor check, the embedding's
+    root check) is a failure of its family.  The tallies, work counts and
+    per-family times go into ``report``.
     """
-    ctx = spec.ctx
-    checks = []
-    prefix = y = spec.a.inv()
-    for i in range(ctx.n):
-        if i:
-            y = y.frobenius(ctx.e)
-            prefix = prefix * y
-        expected = spec.norm * prefix
-        if i % 2:
-            expected = -expected
-        checks.append((f"cof{i}", D.cofactor(i, 0), expected))
-    checks.append(("det", det, spec.delta))
-    mismatches = [(name, got.to_int(), expected.to_int())
-                  for name, got, expected in checks if got != expected]
-    return len(checks), mismatches
+    ctx, n = spec.ctx, spec.ctx.n
+    timings, counts = report.timings, report.counts
+    failures = []
+    fail = failures.append
+    report.cases += 1
+    L = spec.poly()
+
+    with _timer(timings, CHECK_CRITERION):
+        try:
+            perm_norm = binomial.is_permutation_binomial(spec)
+        except AssertionError as exc:
+            fail((CHECK_CRITERION, f"norm criterion: {exc}", None))
+            perm_norm = None
+        D = L.dickson_matrix()
+        solved = linpoly._solve(ctx, D.rows, 1)  # det, row 0 of D^-1
+        counts["eliminations"] += 1
+        det = FieldElem(ctx, solved[0])
+        perm_det = bool(det)
+        # det D = delta^(1 + q + ... + q^(d-1)): the cycles of j -> j + r
+        # mod n make D permutation-similar to d blocks, block c of
+        # determinant delta^(q^c), delta = N(a) + (-1)^(n/d - 1)
+        expected = spec.delta ** ((ctx.q ** spec.d - 1) // (ctx.q - 1))
+        if det != expected:
+            fail((CHECK_CRITERION, f"determinant {det.to_int()}, "
+                  f"closed form {expected.to_int()}", None))
+        img = _table(L, "polynomial", None, counts, failures)
+        kernel = _kernel_size(img)
+        perm_brute = kernel == 1
+        if kernel is None:
+            fail((CHECK_CRITERION, "image and kernel checks disagree", None))
+        elif kernel not in (1, ctx.q ** spec.d):
+            # x^(q^r - 1) = -a has 0 or q^d - 1 nonzero solutions
+            fail((CHECK_CRITERION, f"kernel has {kernel} elements, "
+                  f"expected {ctx.q ** spec.d}", None))
+        agree = perm_norm == perm_det == perm_brute
+        if not agree:
+            fail((CHECK_CRITERION,
+                  f"norm={perm_norm} det={perm_det} brute={perm_brute}", None))
+
+    if spec.r == 1 and spec.a:
+        with _timer(timings, CHECK_COFACTORS):
+            # cofactor(i,0) = (-1)^i N(a) a^-(1+q+...+q^i), (-1)^(n-1) at
+            # i = n - 1, and det D = delta (d = 1), permutation or not; the
+            # prefix products are a running chain of conjugates of 1/a
+            checks = []
+            prefix = y = spec.a.inv()
+            for i in range(n):
+                if i:
+                    y = y.frobenius(ctx.e)
+                    prefix = prefix * y
+                expected = spec.norm * prefix
+                checks.append((f"cof{i}", D.cofactor(i, 0),
+                               -expected if i % 2 else expected))
+            checks.append(("det", det, spec.delta))
+            report.cofactor_checks += len(checks)
+            counts["eliminations"] += n  # one per cofactor
+            mismatches = [(name, got.to_int(), want.to_int())
+                          for name, got, want in checks if got != want]
+            if mismatches:
+                fail((CHECK_COFACTORS, f"cofactor mismatches {mismatches}",
+                      None))
+
+    if not (agree and perm_norm):
+        return failures
+    report.permutation_cases += 1
+
+    with _timer(timings, CHECK_INVERSE):
+        M = binomial.inverse_binomial(spec)
+        counts["direct_evaluations"] += ctx.m + len(_direct_sample(ctx))
+        identity = LinearizedPoly.identity(ctx)
+        if L.compose(M) != identity or M.compose(L) != identity:
+            fail((CHECK_INVERSE, "composition is not the identity", None))
+        elif not _inverts(img, M):
+            fail((CHECK_INVERSE, "pointwise inverse check failed", None))
+
+    with _timer(timings, CHECK_AGREEMENT):
+        try:
+            others = [("matrix method", D._checked_inverse(*solved))]
+        except AssertionError as exc:
+            fail((CHECK_AGREEMENT, f"matrix method: {exc}", None))
+            others = []
+        for shape in binomial._shapes(spec):
+            others.append((f"shape {shape}",
+                           binomial.inverse_special(spec, which=shape)))
+        for method, other in others:
+            if other != M:
+                fail((CHECK_AGREEMENT, f"{method} gave {other.to_encodings()}"
+                      f", closed form {M.to_encodings()}", None))
+
+    with _timer(timings, CHECK_LIFT):
+        for t in lift_ts:
+            big = field_ctx(ctx.p, ctx.e * t, n)
+            report.lift_checks += 1
+            try:
+                lifted = binomial.lift(L, t, big)
+            except AssertionError as exc:
+                fail((CHECK_LIFT, f"embedding: {exc}", t))
+                continue
+            img_big = (img if lifted == L
+                       else _table(lifted, "lift", t, counts, failures))
+            if _kernel_size(img_big) != 1:
+                fail((CHECK_LIFT, "lift is not a permutation", t))
+                continue
+            # lift(emb(s)) = emb(L(s)) for every small s
+            emb = _embedding_table(ctx, big)
+            if (list(map(img_big.__getitem__, emb))
+                    != list(map(emb.__getitem__, img))):
+                fail((CHECK_LIFT, "disagrees with the source on the "
+                      "embedded subfield", t))
+    return failures
 
 
 def sweep(cfg: SweepConfig) -> SweepReport:
-    """Cross-validate every closed form on the full (p, e, n, r, a) grid.
+    """Cross-validate every closed form on the full (p, e, n, r, a) grid:
+    :func:`_check_case` on each binomial, each permutation lifted by every
+    factor t coprime to n whose field fits the cap, t = 1 included.
 
-    Per case: the norm criterion, the determinant criterion, and exhaustive
-    bijectivity must agree, the determinant must match its closed form, and a
-    non-permutation must have exactly q^gcd(n, r) kernel elements; for
-    permutations, the closed-form inverse M must compose with L to x both ways,
-    L's table must send M(x) back to x (:func:`_inverts`), and M must match the
-    matrix-method inverse (and the special forms); for r = 1 the cofactor
-    closed forms are checked; and permutations are lifted by every factor t
-    coprime to n whose field fits the cap, t = 1 included, and rechecked
-    exhaustively.  One solve of L's Dickson matrix serves the determinant and
-    matrix-inverse checks, and L's table the inverse and every lift equal to L
-    (t = 1).  Work is counted per unit in ``report.counts`` (see ``COUNTS``).
-    Failures are collected, not raised: an internal consistency check that
-    raises ``AssertionError`` (the denominator check of the norm criterion,
-    the cofactor check of the matrix method, the root check of the embedding)
-    is recorded under its check family and the case moves on.  The grid order
-    is fixed, so reports are reproducible.
+    Failures are collected, not raised, and work is counted per unit in
+    ``report.counts`` (see ``COUNTS``).  The grid order is fixed, so
+    reports are reproducible.
     """
     report = SweepReport(config=cfg)
-    timings = report.timings
-    counts = report.counts
     for p, e, n in _grid(cfg):
         ctx = field_ctx(p, e, n)
-        identity = LinearizedPoly.identity(ctx)
         lift_ts = _lift_factors(p, e, n, cfg.max_field_order)
         for r in range(1, n):
             for enc_a in range(ctx.order):
-                report.cases += 1
                 spec = binomial.BinomialSpec(ctx.from_int(enc_a), r)
-                L = spec.poly()
-
-                def fail(check, detail, t=None):
+                for check, detail, t in _check_case(spec, lift_ts, report):
                     report.failures.append(SweepFailure(
                         p, e, n, r, enc_a, t, check, detail))
-
-                def table(poly, what, t=None):
-                    # a table that disagrees with direct evaluation breaks
-                    # the brute-force oracle, whichever check reads it
-                    bad = []
-                    img = _images(poly, bad)
-                    counts["tables"] += 1
-                    counts["direct_evaluations"] += len(_direct_sample(poly.ctx))
-                    if bad:
-                        fail(CHECK_CRITERION, f"{what} table disagrees with "
-                             f"direct evaluation at {bad}", t=t)
-                    return img
-
-                with _timer(timings, CHECK_CRITERION):
-                    try:
-                        perm_norm = binomial.is_permutation_binomial(spec)
-                    except AssertionError as exc:
-                        fail(CHECK_CRITERION, f"norm criterion: {exc}")
-                        perm_norm = None
-                    D = L.dickson_matrix()
-                    solved = linpoly._solve(ctx, D.rows, 1)  # det, row 0 of D^-1
-                    counts["eliminations"] += 1
-                    det = FieldElem(ctx, solved[0])
-                    perm_det = bool(det)
-                    # det D = delta^(1 + q + ... + q^(d-1)), delta = N(a) +
-                    # (-1)^(n/d - 1): the cycles of j -> j + r mod n make D
-                    # permutation-similar to d blocks, block c of determinant
-                    # delta^(q^c)
-                    expected = spec.delta ** ((ctx.q ** spec.d - 1) // (ctx.q - 1))
-                    if det != expected:
-                        fail(CHECK_CRITERION, f"determinant {det.to_int()}, "
-                             f"closed form {expected.to_int()}")
-                    img = table(L, "polynomial")
-                    kernel = _kernel_size(img)
-                    perm_brute = kernel == 1
-                    if kernel is None:
-                        fail(CHECK_CRITERION, "image and kernel checks disagree")
-                    elif kernel not in (1, ctx.q ** spec.d):
-                        # x^(q^r - 1) = -a has 0 or q^d - 1 nonzero solutions
-                        fail(CHECK_CRITERION, f"kernel has {kernel} elements, "
-                             f"expected {ctx.q ** spec.d}")
-                    agree = perm_norm == perm_det == perm_brute
-                    if not agree:
-                        fail(CHECK_CRITERION,
-                             f"norm={perm_norm} det={perm_det} brute={perm_brute}")
-
-                if r == 1 and enc_a != 0:
-                    with _timer(timings, CHECK_COFACTORS):
-                        checks, mismatches = _check_cofactors(spec, D, det)
-                        report.cofactor_checks += checks
-                        counts["eliminations"] += n  # one per cofactor
-                        if mismatches:
-                            fail(CHECK_COFACTORS,
-                                 f"cofactor mismatches {mismatches}")
-
-                if not (agree and perm_norm):
-                    continue
-                report.permutation_cases += 1
-
-                with _timer(timings, CHECK_INVERSE):
-                    M = binomial.inverse_binomial(spec)
-                    counts["direct_evaluations"] += ctx.m + len(_direct_sample(ctx))
-                    if L.compose(M) != identity or M.compose(L) != identity:
-                        fail(CHECK_INVERSE, "composition is not the identity")
-                    elif not _inverts(img, M):
-                        fail(CHECK_INVERSE, "pointwise inverse check failed")
-
-                with _timer(timings, CHECK_AGREEMENT):
-                    try:
-                        M_dickson = D._checked_inverse(*solved)
-                    except AssertionError as exc:
-                        fail(CHECK_AGREEMENT, f"matrix method: {exc}")
-                    else:
-                        if M_dickson != M:
-                            fail(CHECK_AGREEMENT,
-                                 f"matrix method gave {M_dickson.to_encodings()}, "
-                                 f"closed form {M.to_encodings()}")
-                    for shape in binomial._shapes(spec):
-                        M_special = binomial.inverse_special(spec, which=shape)
-                        if M_special != M:
-                            fail(CHECK_AGREEMENT,
-                                 f"shape {shape} gave {M_special.to_encodings()}, "
-                                 f"closed form {M.to_encodings()}")
-
-                with _timer(timings, CHECK_LIFT):
-                    for t in lift_ts:
-                        big = field_ctx(p, e * t, n)
-                        report.lift_checks += 1
-                        try:
-                            lifted = binomial.lift(L, t, big)
-                        except AssertionError as exc:
-                            fail(CHECK_LIFT, f"embedding: {exc}", t=t)
-                            continue
-                        img_big = (img if lifted == L
-                                   else table(lifted, "lift", t=t))
-                        if _kernel_size(img_big) != 1:
-                            fail(CHECK_LIFT, "lift is not a permutation", t=t)
-                            continue
-                        # lift(emb(s)) = emb(L(s)) for every small s
-                        emb = _embedding_table(ctx, big)
-                        if (list(map(img_big.__getitem__, emb))
-                                != list(map(emb.__getitem__, img))):
-                            fail(CHECK_LIFT, "disagrees with the source on "
-                                 "the embedded subfield", t=t)
     return report

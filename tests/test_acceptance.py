@@ -17,6 +17,8 @@ from linperm.cli import run_bench
 from linperm.oracle import (CHECK_AGREEMENT, CHECK_COFACTORS, CHECK_CRITERION,
                             CHECK_INVERSE, CHECK_LIFT, _grid)
 
+from test_readme import COMMANDS
+
 GRID_CFG = SweepConfig(max_field_order=729, primes=(2, 3, 5))
 
 CRITERION_SWEEP_BUDGET = 60.0
@@ -77,6 +79,14 @@ def test_sweep_work_counts(report):
             report.lift_checks) == (19394, 11260, 31702, 11296)
     assert report.counts == {"eliminations": 44906, "tables": 19430,
                              "direct_evaluations": 192393}
+
+
+def test_readme_verify_block(report):
+    # the README's verify example is this grid's report, so no second sweep
+    (argv, expected), = [c for c in COMMANDS if c[0][0] == "verify"]
+    assert argv == ["verify", "--max-order", str(GRID_CFG.max_field_order),
+                    "--primes", ",".join(map(str, GRID_CFG.primes))]
+    assert report.format().splitlines() == expected
 
 
 def test_criterion_5_matrix_inverse_identity():

@@ -536,6 +536,21 @@ class TestLogTables:
         xs = [ctx.random_element(rng) for _ in range(300)] + [ctx.zero, ctx.one]
         assert_matches_vector_path(ctx, list(zip(xs, xs[::-1])), xs[:60])
 
+    @pytest.mark.parametrize("p,m", [(3, 6), (2, 12)])
+    def test_int_pow_matches_square_and_multiply(self, p, m):
+        # one antilog lookup per power, against the vector kernel's
+        # square-and-multiply at every nonzero element; GF(2^12) is the
+        # largest field with tables
+        ctx = field_ctx(p, 1, m)
+        assert ctx.order <= ffield.LOG_TABLE_MAX_ORDER
+        int_pow = ctx.int_ops()[3]
+        order = ctx.order
+        ks = (0, 1, 2, 17, order - 2, order - 1, order, 3 * (order - 1) + 5)
+        for enc in range(1, order):
+            x = ctx.from_int(enc).packed
+            assert ([int_pow(x, k) for k in ks]
+                    == [_power(x, k, ctx._mul, 1) for k in ks]), enc
+
     def test_table_is_a_cyclic_group(self, f9):
         f9.one * f9.one
         order = f9.order - 1

@@ -248,6 +248,16 @@ class TestDeterminantAndInverse:
         assert D.cofactor(0, 0) == D.entries[1][1]
         assert D.cofactor(1, 0) == -D.entries[0][1]
 
+    @pytest.mark.parametrize("i,j", [(0, 3), (0, -1), (-3, 0), (3, 0),
+                                     (-1, 0)])
+    def test_cofactor_index_outside_the_matrix(self, i, j):
+        # negative indices would wrap and out-of-range ones slice short, so
+        # these gave values or an IndexError that are no minor of D
+        ctx = field_ctx(3, 1, 3)
+        D = LinearizedPoly.from_encodings(ctx, [5, 1, 0]).dickson_matrix()
+        with pytest.raises(ValueError, match=rf"cofactor \({i}, {j}\)"):
+            D.cofactor(i, j)
+
 
 class TestAgainstLeibniz:
     """The elimination against references that share no code with it."""
@@ -369,7 +379,7 @@ class TestInverseDickson:
         real_ops = FieldCtx.int_ops
 
         def int_ops(ctx):
-            int_mul, int_inv, int_frob = real_ops(ctx)
+            int_mul, int_inv, int_frob, int_pow = real_ops(ctx)
 
             def checked_mul(a, b):
                 int_fields.add(ctx.order)
@@ -391,7 +401,12 @@ class TestInverseDickson:
                     wrong_images.append((x, k, image))
                 return image
 
-            return checked_mul, checked_inv, checked_frob
+            def checked_pow(x, k):
+                if not x:
+                    zero_products.append((x, k))
+                return int_pow(x, k)
+
+            return checked_mul, checked_inv, checked_frob, checked_pow
 
         monkeypatch.setattr(FieldCtx, "int_ops", int_ops)
         # GF(3^9) is above LOG_TABLE_MAX_ORDER, where a zero operand would

@@ -1,5 +1,6 @@
 """Brute-force checks and the cross-validation sweep."""
 
+import hashlib
 import random
 
 import pytest
@@ -179,6 +180,12 @@ class TestSweepConfig:
             with pytest.raises(ValueError):
                 SweepConfig(primes=primes)
 
+    @pytest.mark.parametrize("cap", [64.0, 729.5, "64", None])
+    def test_cap_must_be_an_integer(self, cap):
+        # a float cap would fail only once the sweep reads its bit length
+        with pytest.raises(ValueError, match="must be an integer"):
+            SweepConfig(max_field_order=cap)
+
 
 class TestSweep:
     def test_tiny_grid_counts(self):
@@ -257,15 +264,9 @@ class TestSweep:
         assert counts["direct_evaluations"] == evaluations
 
     def test_cofactor_fault_is_one_record_per_case(self, monkeypatch):
-        # shift every cofactor (0, j) by one: cof0 fails for each of the 8
-        # nonzero a, and nothing else reads a cofactor
-        real = linpoly.DicksonMatrix.cofactor
-
-        def shifted(self, i, j):
-            value = real(self, i, j)
-            return value + self.ctx.one if i == 0 else value
-
-        monkeypatch.setattr(linpoly.DicksonMatrix, "cofactor", shifted)
+        # cof0 fails for each of the 8 nonzero a, and nothing else reads a
+        # cofactor
+        break_cofactors(monkeypatch)
         report = sweep(GF9_GRID)
         assert (report.cases, report.cofactor_checks) == (9, 24)
         assert len(report.failures) == 8
@@ -277,18 +278,8 @@ class TestSweep:
     def test_determinant_sign_fault_is_one_record_per_permutation(
             self, monkeypatch):
         # -det is nonzero exactly when det is, so bool(det) misses it and the
-        # determinant's closed form records it once per permutation case.
-        # The fault is in each case's one solve (k = 1); the cofactors' own
-        # solves (k = 0) are left intact
-        real = linpoly._solve
-
-        def negated(ctx, rows, k):
-            det, solutions = real(ctx, rows, k)
-            if k == 1:
-                det = _kernel.submod(0, det, ctx.packing)
-            return det, solutions
-
-        monkeypatch.setattr(linpoly, "_solve", negated)
+        # determinant's closed form records it once per permutation case
+        break_determinant_sign(monkeypatch)
         report = sweep(SweepConfig(max_field_order=81, primes=(3,)))
         criterion = report.failures_for(CHECK_CRITERION)
         assert len(criterion) == report.permutation_cases > 0
@@ -435,6 +426,31 @@ def break_root_check(monkeypatch):
         raise AssertionError("embedded generator is not a root of the small modulus")
 
     monkeypatch.setattr(ffield, "_embedding_powers", faulty)
+
+
+def break_determinant_sign(monkeypatch):
+    """Negate the determinant of each case's one solve (k = 1); the
+    cofactors' own solves (k = 0) are left intact."""
+    real = linpoly._solve
+
+    def negated(ctx, rows, k):
+        det, solutions = real(ctx, rows, k)
+        if k == 1:
+            det = _kernel.submod(0, det, ctx.packing)
+        return det, solutions
+
+    monkeypatch.setattr(linpoly, "_solve", negated)
+
+
+def break_cofactors(monkeypatch):
+    """Shift every cofactor (0, j) by one."""
+    real = linpoly.DicksonMatrix.cofactor
+
+    def shifted(self, i, j):
+        value = real(self, i, j)
+        return value + self.ctx.one if i == 0 else value
+
+    monkeypatch.setattr(linpoly.DicksonMatrix, "cofactor", shifted)
 
 
 GF9_GRID = SweepConfig(max_field_order=9, primes=(3,))
@@ -594,3 +610,61 @@ class TestBruteForceFailures:
             for a in gf9_permutations()
             for detail in ("image and kernel checks disagree",
                            "norm=True det=True brute=False")]
+
+
+FAULT_GRID = SweepConfig(max_field_order=81, primes=(2, 3))
+
+# (number of failures, sha256 of their lines, work counts) of each fault on
+# FAULT_GRID
+FAULT_GOLDENS = {
+    break_denominator_check: (
+        520,
+        "c997e50afcbf5e961ed0303b90bbb2cbd714b56e61c7f43066a3f1b75c8b8d92",
+        {"eliminations": 2650, "tables": 1114, "direct_evaluations": 8541}),
+    break_cofactor_check: (
+        572,
+        "8295f8c37872a16c3b9b00dc76590374d7ec13053980ac716410c56d1b7bd5a0",
+        {"eliminations": 2650, "tables": 1114, "direct_evaluations": 9547}),
+    break_root_check: (
+        575,
+        "06e36eb6f5698b41e22316b1f441c29afb6897064d9e519d8cf8d7e5e353ff59",
+        {"eliminations": 2650, "tables": 1111, "direct_evaluations": 9535}),
+    break_polynomial_tables: (
+        4,
+        "3e42652c87c2e55a317947279edfce859fcd3492552c232d97d1fd29939939e5",
+        {"eliminations": 2650, "tables": 1114, "direct_evaluations": 9547}),
+    break_lift: (
+        575,
+        "ef248b34de9c8a30e27920375ca213c4d47f7b256a99d0227ffdcf6a1df61c1c",
+        {"eliminations": 2650, "tables": 1686, "direct_evaluations": 11832}),
+    break_embedding_table: (
+        575,
+        "6805e7e5712865cad2e53de7b30d54e877e2a530feb6a687ee8a6020936fae64",
+        {"eliminations": 2650, "tables": 1114, "direct_evaluations": 9547}),
+    break_determinant_sign: (
+        384,
+        "e0c4fbc5f4d5dc6c674570982124b6064fcdfe772f36f6a2c6874f77dd59861f",
+        {"eliminations": 2650, "tables": 1114, "direct_evaluations": 9547}),
+    break_cofactors: (
+        454,
+        "a762794dea6bc9fb1ea95520d915057f4a491231e667e3583faf973a7940bf09",
+        {"eliminations": 2650, "tables": 1114, "direct_evaluations": 9547}),
+}
+
+
+class TestFaultGoldens:
+    """Every fault above, on the 1,111 cases of GF(2^k) and GF(3^k) up to
+    81 elements: the sha256 of the failure lines and the work counts are
+    pinned, so a change in how the sweep runs a case's checks that alters
+    any record, its order, or the work done shows here."""
+
+    @pytest.mark.parametrize("inject", list(FAULT_GOLDENS),
+                             ids=lambda inject: inject.__name__)
+    def test_records_and_counts(self, monkeypatch, inject):
+        inject(monkeypatch)
+        report = sweep(FAULT_GRID)
+        lines = "\n".join(f.line() for f in report.failures)
+        assert report.cases == 1111
+        assert (len(report.failures),
+                hashlib.sha256(lines.encode()).hexdigest(),
+                report.counts) == FAULT_GOLDENS[inject]

@@ -2,8 +2,8 @@
 
 Each ``$ linperm ...`` line of a shell block must print exactly the lines
 that follow it.  ``bench`` prints machine-dependent timings and the 729
-``verify`` takes about 20 s (the acceptance suite pins its counts), so both
-are left out.  The library example is executed and its printed value
+``verify`` takes about 6 s, so both are left out here; the acceptance
+suite compares the ``verify`` block with the report of its own sweep.  The library example is executed and its printed value
 compared with the comment on its ``print`` line.
 """
 
