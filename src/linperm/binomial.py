@@ -4,12 +4,13 @@ For d = gcd(n, r), the binomial permutes GF(q^n) exactly when
 (-1)^(n/d) * N(a) != 1, where N is the relative norm onto GF(q^d).  When it
 does, the compositional inverse is
 
-    N(a) / (N(a) + (-1)^(n/d - 1))
+    N(a) / delta
         * sum((-1)^i * a^-(1 + q^r + ... + q^(i*r)) * x^(q^(i*r)), i < n/d)
 
-with exponents of x reduced modulo q^n.  The alternating coefficients are
-built as a running chain of conjugates of 1/a, one Frobenius and one
-multiply per term, so no big-integer exponent appears.
+with delta = N(a) + (-1)^(n/d - 1), exponents of x reduced modulo q^n.  As
+j*r mod n, j < n/d, runs over the multiples of d, the conjugates a^(q^(j*r))
+multiply to N(a), so coefficient i is (-1)^i / delta times those with j > i:
+one descending chain of conjugates of a, which inverts delta alone.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 
+from . import _kernel
 from .errors import NotAPermutationError, UnsupportedShapeError
 from .ffield import FieldCtx, FieldElem, embed_subfield
 from .linpoly import LinearizedPoly
@@ -84,10 +86,9 @@ def inverse_binomial(spec: BinomialSpec) -> LinearizedPoly:
 
     For a = 0 the binomial degenerates to the monomial x^(q^r), whose
     inverse is x^(q^(n-r)).  Otherwise slot (i*r mod n) receives
-    front * (-1)^i * (1/a)^(1 + q^r + ... + q^(i*r)) built incrementally
-    from front / a, with front = N(a) / delta, both read from ``spec``.
-    One inversion serves both quotients (Montgomery's trick): with
-    z = 1/(delta * a), front / a = N(a) * z and 1/a = delta * z.
+    (-1)^i * u_i, where u_(n/d-1) = 1/delta and u_(i-1) = u_i * y_i with
+    y_i = a^(q^(i*r)), the q^(n-r)-power image of y_(i+1) (y_(n/d) = a).
+    The chain runs on the packed ints of :meth:`FieldCtx.int_ops`.
     """
     ctx = spec.ctx
     n, e, r = ctx.n, ctx.e, spec.r
@@ -97,16 +98,15 @@ def inverse_binomial(spec: BinomialSpec) -> LinearizedPoly:
     if not delta:
         raise NotAPermutationError(
             "binomial does not permute the field: criterion value is 1")
-    z = (delta * spec.a).inv()
-    coeffs = [ctx.zero] * n
-    term = spec.norm * z
-    y = delta * z
-    for i in range(n // spec.d):
+    mul, inv, frob, _ = ctx.int_ops()
+    coeffs = [0] * n
+    u, y = inv(delta.packed), spec.a.packed
+    for i in range(n // spec.d - 1, -1, -1):
+        coeffs[i * r % n] = _kernel.submod(0, u, ctx.packing) if i % 2 else u
         if i:
-            y = y.frobenius(e * r)
-            term = term * y
-        coeffs[(i * r) % n] = term if i % 2 == 0 else -term
-    return LinearizedPoly(ctx, coeffs)
+            y = frob(y, e * (n - r))
+            u = mul(u, y)
+    return LinearizedPoly(ctx, [FieldElem(ctx, c) for c in coeffs])
 
 
 # dispatch tags for the special-case formulas

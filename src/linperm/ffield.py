@@ -406,6 +406,8 @@ class FieldElem:
 
     def frobenius(self, k: int) -> "FieldElem":
         """x -> x^(p^k); the q^j-power map is frobenius(e*j)."""
+        if not isinstance(k, int):
+            raise TypeError(f"Frobenius power must be an int, got {k!r}")
         if k < 0:
             raise ValueError("Frobenius power must be nonnegative")
         ctx = self.ctx
@@ -417,21 +419,27 @@ class FieldElem:
         Equals x^((q^n-1)/(q^d-1)) for nonzero x.  The product P(j) of the
         first j conjugates follows the bits of n/d by P(2j) = P(j) P(j)^(Q^j)
         and P(j+1) = x P(j)^Q, Q = q^d (Itoh-Tsujii): about 2 log2(n/d)
-        Frobenius-and-multiply steps.
+        Frobenius-and-multiply steps on the packed ints of
+        :meth:`FieldCtx.int_ops`.
         """
         ctx = self.ctx
+        if not isinstance(d, int):
+            raise TypeError(f"norm degree must be an int, got {d!r}")
         if d < 1 or ctx.n % d:
             raise ValueError(f"d={d} does not divide n={ctx.n}")
+        if not self.packed:
+            return self
+        mul, _, frob, _ = ctx.int_ops()
         step = ctx.e * d
-        acc = self
+        acc = x = self.packed
         j = 1
         for bit in bin(ctx.n // d)[3:]:
-            acc = acc * acc.frobenius(step * j)
+            acc = mul(acc, frob(acc, step * j))
             j *= 2
             if bit == "1":
-                acc = self * acc.frobenius(step)
+                acc = mul(x, frob(acc, step))
                 j += 1
-        return acc
+        return FieldElem(ctx, acc)
 
     def to_int(self) -> int:
         ctx = self.ctx

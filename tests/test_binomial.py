@@ -122,8 +122,9 @@ def geometric_power(a, r, i):
 
 
 class TestGeometricPower:
-    """Conjugate products, the prefix products of the closed-form inverse
-    and of the cofactor check, against norms and explicit powers."""
+    """Conjugate products a^(1 + q^r + ... + q^(i*r)), the prefix products
+    of the oracle's cofactor check, against norms and explicit powers;
+    with the suffix product of the closed-form inverse they make N(a)."""
 
     def test_worked_value(self, f9):
         assert geometric_power(f9.from_int(4), 1, 1).to_int() == 2
@@ -136,6 +137,21 @@ class TestGeometricPower:
             for enc in range(1, ctx.order):
                 a = ctx.from_int(enc)
                 assert geometric_power(a, r, n // d - 1) == a.norm_rel(d)
+
+    @pytest.mark.parametrize("p,e,n", SMALL_FIELDS)
+    def test_prefix_times_suffix_is_the_relative_norm(self, p, e, n):
+        # the conjugates a^(q^(j*r)), j < n/d, multiply to N(a), so the
+        # closed form's suffix products are the prefix products over N(a)
+        ctx = field_ctx(p, e, n)
+        for r in range(1, n):
+            d = math.gcd(n, r)
+            for enc in range(1, ctx.order):
+                a = ctx.from_int(enc)
+                for i in range(n // d):
+                    suffix = ctx.one
+                    for j in range(i + 1, n // d):
+                        suffix = suffix * a.frobenius(ctx.e * j * r)
+                    assert geometric_power(a, r, i) * suffix == a.norm_rel(d)
 
     @pytest.mark.parametrize("p,e,n", [(3, 1, 2), (2, 1, 4), (2, 2, 2)])
     def test_matches_explicit_exponent(self, p, e, n):
@@ -194,6 +210,47 @@ class TestInverseBinomial:
             coeffs[0] = b * den.inv()
             coeffs[h] = -den.inv()
             assert inverse_binomial(spec) == LinearizedPoly(ctx, coeffs)
+
+
+def count_int_ops(monkeypatch, ctx):
+    """Wrap the context's int-level (mul, inv, frob, pow) in counters; the
+    dict maps each name to the list of its first operands."""
+    calls = {name: [] for name in ("mul", "inv", "frob", "pow")}
+
+    def counted(name, op):
+        def wrapper(x, *rest):
+            calls[name].append(x)
+            return op(x, *rest)
+        return wrapper
+
+    monkeypatch.setattr(ctx, "_ops", tuple(
+        counted(name, op) for name, op in zip(calls, ctx.int_ops())))
+    return calls
+
+
+class TestClosedFormWork:
+    """The closed form inverts delta alone, then makes n/d - 1 Frobenius
+    images and n/d - 1 products on packed ints."""
+
+    @pytest.mark.parametrize("p,e,n,r,constant", [
+        (3, 1, 32, 1, True), (3, 1, 32, 16, False), (2, 2, 16, 4, False)])
+    def test_operation_counts(self, monkeypatch, p, e, n, r, constant):
+        ctx = field_ctx(p, e, n)
+        rng = random.Random(n * r)
+        spec = BinomialSpec(ctx.random_element(rng), r)
+        while not (spec.a and is_permutation_binomial(spec)):
+            spec = BinomialSpec(ctx.random_element(rng), r)
+        spec.norm
+        calls = count_int_ops(monkeypatch, ctx)
+        M = inverse_binomial(spec)
+        steps = n // spec.d - 1
+        assert calls["inv"] == [spec.delta.packed]
+        assert (spec.delta.packed < 1 << 8 * ctx.packing.width) == constant
+        assert [len(calls[k]) for k in ("mul", "frob", "pow")] == [
+            steps, steps, 0]
+        monkeypatch.undo()
+        ident = LinearizedPoly.identity(ctx)
+        assert spec.poly().compose(M) == ident == M.compose(spec.poly())
 
 
 class TestInverseSpecial:

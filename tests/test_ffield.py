@@ -301,6 +301,15 @@ class TestFrobenius:
         with pytest.raises(ValueError):
             f9.one.frobenius(-1)
 
+    @pytest.mark.parametrize("p,e,n", [(3, 1, 6), (3, 1, 32)])
+    def test_non_int_power_rejected(self, p, e, n):
+        # on both sides of the log-table cap; above it 1.5 once recursed
+        # through the map cache until RecursionError
+        x = field_ctx(p, e, n).from_int(345)
+        for k in (1.5, 2.0, "1"):
+            with pytest.raises(TypeError, match="must be an int"):
+                x.frobenius(k)
+
     @pytest.mark.parametrize("p,e,n", EXHAUSTIVE_FIELDS)
     def test_is_a_field_homomorphism(self, p, e, n):
         ctx = field_ctx(p, e, n)
@@ -378,6 +387,14 @@ class TestNorm:
             f9.one.norm_rel(3)
         with pytest.raises(ValueError):
             f9.one.norm_rel(0)
+
+    @pytest.mark.parametrize("p,e,n", [(3, 1, 6), (3, 1, 32)])
+    def test_non_int_degree_rejected(self, p, e, n):
+        # 2.0 passes the divisor check, since 6 % 2.0 == 0.0
+        x = field_ctx(p, e, n).from_int(345)
+        for d in (2.0, 1.5, None):
+            with pytest.raises(TypeError, match="must be an int"):
+                x.norm_rel(d)
 
     @pytest.mark.parametrize("p,e,n", [(2, 1, 4), (3, 1, 4), (2, 2, 2), (2, 1, 6)])
     def test_norm_properties(self, p, e, n):

@@ -8,6 +8,7 @@ with the digest the kernels produced before their last rewrite.
 import hashlib
 import random
 
+from linperm import BinomialSpec, inverse_binomial, is_permutation_binomial
 from linperm.ffield import field_ctx, find_irreducible
 
 MODULUS_CASES = sorted(
@@ -27,6 +28,16 @@ MODULI_SHA256 = (
     "4132d5e5b3aa8e9f377c5cb90658c138ef508ca6211ecc8d04b0be1dade2b61a")
 OPS_SHA256 = (
     "f66694b3ebcd561d404205f8c4bd3e4b367586a9cdcbefc79b559bbb8b0ac42d")
+
+# (p, e, n, r) above the log-table cap: d = 1 and d = 16 over GF(3^32),
+# d = 1 and d = 4 with q != p over GF(4^16), two-byte slots over GF(25^12)
+# and four-byte slots over GF(1009^6) at d = 1, 2 and 3
+CLOSED_FORM_CASES = [(3, 1, 32, 1), (3, 1, 32, 7), (3, 1, 32, 16),
+                     (3, 1, 32, 31), (2, 2, 16, 3), (2, 2, 16, 4),
+                     (5, 2, 12, 5), (1009, 1, 6, 1), (1009, 1, 6, 2),
+                     (1009, 1, 6, 3)]
+CLOSED_FORM_SHA256 = (
+    "fe7c980a3d1c76d02d17df5275f573cf6763e887785cfc7588dd9ae87d082979")
 
 
 def sha256(lines):
@@ -51,3 +62,18 @@ def test_field_operations_are_pinned():
             lines.append(" ".join(str(z.to_int()) for z in (
                 x * y, x.inv(), x.frobenius(3), x.norm_rel(1))))
     assert sha256(lines) == OPS_SHA256
+
+
+def test_closed_form_inverses_are_pinned():
+    lines = []
+    for p, e, n, r in CLOSED_FORM_CASES:
+        ctx = field_ctx(p, e, n)
+        rng = random.Random(1000 * ctx.m + r)
+        drawn = 0
+        while drawn < 3:
+            spec = BinomialSpec(ctx.random_element(rng), r)
+            if is_permutation_binomial(spec):
+                drawn += 1
+                lines.append(" ".join(map(str, inverse_binomial(
+                    spec).to_encodings())))
+    assert sha256(lines) == CLOSED_FORM_SHA256
