@@ -4,7 +4,8 @@ A field element is one packed int (Kronecker substitution): the vector v
 of its power-basis coefficients, little-endian, is sum(v[i] * 256^(w*i)),
 with w bytes a slot and 256^w > m(p-1)^2 + p for a modulus of degree m, so
 no slot of a product or of a sum of m scaled columns carries into the next
-(w is 1, 2, 4, 8 or 9, since p < 2^31 and m <= 128).  Every slot of an
+(w is 1, 2, 4, 8 or 9, since p < 2^31 and m <= 128).  Every kernel,
+:func:`eval_all` included, keeps to this one width.  Every slot of an
 element is reduced into [0, p): zero is 0, one is 1, a GF(p) constant c is
 c, and packed ints compare in encoding order.  A polynomial over GF(p) of
 any degree is packed the same way, its degree read off the bit length;
@@ -56,17 +57,17 @@ def _pack(v, width):
                           "little")
 
 
-def _slots(x, n, width, pk):
-    """The n ``width``-byte slots of ``x``, mod ``pk.p``: bytes when
-    ``width`` is 1, else a list; a nine-byte slot is read as "Q" and "B"."""
-    raw = x.to_bytes(n * width, "little")
-    if width == 1:
+def _slots(x, n, pk):
+    """The n slots of ``x``, mod ``pk.p``: bytes when the slot width is 1,
+    else a list; a nine-byte slot is read as "Q" and "B"."""
+    raw = x.to_bytes(n * pk.width, "little")
+    if pk.width == 1:
         return raw.translate(pk._residues)
     p = pk.p
-    if width == 9:
+    if pk.width == 9:
         v = struct.unpack("<" + "QB" * n, raw)
         return [(lo | hi << 64) % p for lo, hi in zip(v[::2], v[1::2])]
-    return [c % p for c in struct.unpack("<" + _CODES[width] * n, raw)]
+    return [c % p for c in struct.unpack("<" + _CODES[pk.width] * n, raw)]
 
 
 def _norm(x, pk, n=None):
@@ -74,7 +75,7 @@ def _norm(x, pk, n=None):
     if pk.width == 1:
         return int.from_bytes(
             x.to_bytes(n or pk.m, "little").translate(pk._residues), "little")
-    return _pack(_slots(x, n or pk.m, pk.width, pk), pk.width)
+    return _pack(_slots(x, n or pk.m, pk), pk.width)
 
 
 def _reduce(x, pk):
@@ -94,7 +95,7 @@ def _reduce(x, pk):
 def digits(x, pk):
     """The m slots of ``x`` mod p, so the coefficients of a packed element:
     bytes when the slot width is 1, else a list."""
-    return _slots(x, pk.m, pk.width, pk)
+    return _slots(x, pk.m, pk)
 
 
 def from_digits(v, pk):
@@ -215,24 +216,21 @@ def eval_all(rows, maps, pk):
     enc(value).
 
     The map is GF(p)-linear, so it is evaluated directly only on the basis
-    vectors, sum_i c_i * (column k of F_i), in slots wide enough for all
-    terms (repacked when wider than the field's) and reduced once.  The
-    table is then filled digit by digit by
+    vectors: image k is the sum over i of c_i * (column k of F_i), one
+    :func:`mulmod` per term folded with :func:`addmod`, in the field's own
+    slots.  The table is then filled digit by digit by
     img[j + c*p^k] = img[j + (c-1)*p^k] + col_k, where col_k is the image of
     the k-th basis vector.  For p = 2 the addition is one XOR per entry; for
     odd p each entry is split into a low and a high half of its digits, and
     the translation by col_k is read off one precomputed row per half.
     """
     m, p = pk.m, pk.p
-    w = _width(len(rows) * m * (p - 1) ** 2 + p)
-    if w != pk.width:
-        rows = [_pack(digits(c, pk), w) for c in rows]
-        maps = [[_pack(digits(c, pk), w) for c in cols] for cols in maps]
     cols = []
     for k in range(len(maps[0]) if maps else m):
-        acc = sum(row * fm[k] for row, fm in zip(rows, maps))
-        acc = _pack(_slots(acc, 2 * m - 1, w, pk), pk.width)
-        cols.append(digits(_reduce(acc, pk), pk))
+        acc = 0
+        for row, fm in zip(rows, maps):
+            acc = addmod(acc, mulmod(row, fm[k], pk), pk)
+        cols.append(digits(acc, pk))
     out = [0]
     if p == 2:
         for col in cols:

@@ -53,10 +53,9 @@ class BinomialSpec:
 
     def poly(self) -> LinearizedPoly:
         ctx = self.ctx
-        coeffs = [ctx.zero] * ctx.n
-        coeffs[0] = self.a
-        coeffs[self.r] = ctx.one
-        return LinearizedPoly(ctx, coeffs)
+        packed = [0] * ctx.n
+        packed[0], packed[self.r] = self.a.packed, 1
+        return LinearizedPoly._of(ctx, tuple(packed))
 
     def __repr__(self):
         return f"BinomialSpec(a={self.a.to_int()}, r={self.r} over {self.ctx!r})"
@@ -106,7 +105,7 @@ def inverse_binomial(spec: BinomialSpec) -> LinearizedPoly:
         if i:
             y = frob(y, e * (n - r))
             u = mul(u, y)
-    return LinearizedPoly(ctx, [FieldElem(ctx, c) for c in coeffs])
+    return LinearizedPoly._of(ctx, tuple(coeffs))
 
 
 # dispatch tags for the special-case formulas
@@ -205,5 +204,5 @@ def lift(L: LinearizedPoly, t: int, big: FieldCtx) -> LinearizedPoly:
         raise ValueError(
             f"big context must be (p={small.p}, e={small.e * t}, n={n}), "
             f"got (p={big.p}, e={big.e}, n={big.n})")
-    coeffs = [embed_subfield(L.coeffs[(t * i) % n], big) for i in range(n)]
-    return LinearizedPoly(big, coeffs)
+    coeffs = [embed_subfield(c, big) for c in L.coeffs]
+    return LinearizedPoly(big, [coeffs[(t * i) % n] for i in range(n)])

@@ -601,6 +601,8 @@ def embed_subfield(x: FieldElem, big: FieldCtx) -> FieldElem:
     :func:`_embedding_powers` reaches first; repeated calls and processes
     agree.
     """
+    if not isinstance(x, FieldElem):
+        raise TypeError(f"expected a field element, got {type(x).__name__}")
     small = x.ctx
     if small.p != big.p:
         raise ValueError("fields of different characteristic")

@@ -8,9 +8,9 @@ inverse of a permutation is the first row of the inverse matrix.  One
 elimination routine, :func:`_solve`, gives every matrix quantity: the
 determinant, cofactors, that first row and the whole inverse.  It makes
 one field inversion per call, so a big-field solve costs one Euclid, not n.
-Evaluation, composition and Dickson matrices run on packed ints end to
-end, through :meth:`~linperm.ffield.FieldCtx.int_ops`; field elements are
-built only for what a public method returns.
+Both containers hold packed ints and build field elements only on a read
+of ``coeffs`` or ``entries``; evaluation, composition and elimination run
+on those ints, through :meth:`~linperm.ffield.FieldCtx.int_ops`.
 """
 
 from __future__ import annotations
@@ -20,27 +20,47 @@ from .errors import ContextMismatchError, SingularMatrixError
 from .ffield import FieldCtx, FieldElem
 
 
-class LinearizedPoly:
-    """Coefficient vector (a_0, ..., a_{n-1}) of sum a_i x^(q^i).
+class _Packed:
+    """A context ``ctx`` and a tuple ``packed`` of packed ints, or of rows of
+    them; public constructors check elements, and ``_of`` takes ints as they
+    are.  Equal when of one class with equal ``ctx`` and ``packed``."""
+
+    __slots__ = ("ctx", "packed")
+
+    @classmethod
+    def _of(cls, ctx: FieldCtx, packed: tuple):
+        obj = cls.__new__(cls)
+        obj.ctx, obj.packed = ctx, packed
+        return obj
+
+    def __eq__(self, other):
+        return type(other) is type(self) and (
+            (self.ctx, self.packed) == (other.ctx, other.packed))
+
+    def __hash__(self):
+        return hash((self.ctx, self.packed))
+
+
+class LinearizedPoly(_Packed):
+    """Coefficient vector (a_0, ..., a_{n-1}) of sum a_i x^(q^i), held as
+    the packed ints ``packed``; ``coeffs`` builds the elements on each read.
 
     The length is exactly n; other lengths are rejected rather than padded.
     """
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ()
 
     def __init__(self, ctx: FieldCtx, coeffs):
         coeffs = tuple(coeffs)
         if len(coeffs) != ctx.n:
             raise ValueError(
                 f"need exactly n={ctx.n} coefficients, got {len(coeffs)}")
-        for c in coeffs:  # raises unless c is an element of ctx
-            ctx.zero._peer(c)
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.packed = tuple(ctx.zero._peer(c).packed for c in coeffs)
 
     @classmethod
     def zero(cls, ctx: FieldCtx) -> "LinearizedPoly":
-        return cls(ctx, (ctx.zero,) * ctx.n)
+        return cls._of(ctx, (0,) * ctx.n)
 
     @classmethod
     def identity(cls, ctx: FieldCtx) -> "LinearizedPoly":
@@ -51,16 +71,26 @@ class LinearizedPoly:
         """x^(q^r)."""
         if not 0 <= r < ctx.n:
             raise ValueError(f"slot r={r} outside [0, {ctx.n})")
-        coeffs = [ctx.zero] * ctx.n
-        coeffs[r] = ctx.one
-        return cls(ctx, coeffs)
+        return cls._of(ctx, (0,) * r + (1,) + (0,) * (ctx.n - r - 1))
 
     @classmethod
     def from_encodings(cls, ctx: FieldCtx, encodings) -> "LinearizedPoly":
         return cls(ctx, tuple(ctx.from_int(v) for v in encodings))
 
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(FieldElem(self.ctx, v) for v in self.packed)
+
     def to_encodings(self) -> tuple[int, ...]:
         return tuple(c.to_int() for c in self.coeffs)
+
+    def _peer(self, other, what: str) -> "LinearizedPoly":
+        if not isinstance(other, LinearizedPoly):
+            raise TypeError(
+                f"expected a linearized polynomial, got {type(other).__name__}")
+        if other.ctx is not self.ctx and other.ctx != self.ctx:
+            raise ContextMismatchError(f"{what} across contexts")
+        return other
 
     def eval(self, x: FieldElem) -> FieldElem:
         """L(x) as sum a_i * x^(q^i); additive and GF(q)-linear in x.
@@ -73,10 +103,10 @@ class LinearizedPoly:
             return ctx.zero
         mul, _, frob, _ = ctx.int_ops()
         acc = 0
-        for i, a in enumerate(self.coeffs):
-            if a.packed:
+        for i, a in enumerate(self.packed):
+            if a:
                 acc = _kernel.addmod(acc, mul(
-                    a.packed, frob(x.packed, ctx.e * i)), ctx.packing)
+                    a, frob(x.packed, ctx.e * i)), ctx.packing)
         return FieldElem(ctx, acc)
 
     def compose(self, other: "LinearizedPoly") -> "LinearizedPoly":
@@ -84,48 +114,37 @@ class LinearizedPoly:
 
         c_k = sum over i+j = k (mod n) of a_i * b_j^(q^i), on packed ints.
         """
+        bs = self._peer(other, "composition").packed
         ctx = self.ctx
-        if other.ctx is not ctx and other.ctx != ctx:
-            raise ContextMismatchError("composition across contexts")
         mul, _, frob, _ = ctx.int_ops()
         n, pk = ctx.n, ctx.packing
-        bs = [b.packed for b in other.coeffs]
         out = [0] * n
-        for i, a in enumerate(self.coeffs):
-            if a.packed:
+        for i, a in enumerate(self.packed):
+            if a:
                 for j, b in enumerate(bs):
                     if b:
                         out[(i + j) % n] = _kernel.addmod(out[(i + j) % n], mul(
-                            a.packed, frob(b, ctx.e * i)), pk)
-        return LinearizedPoly(ctx, [FieldElem(ctx, v) for v in out])
+                            a, frob(b, ctx.e * i)), pk)
+        return LinearizedPoly._of(ctx, tuple(out))
 
     def dickson_matrix(self) -> "DicksonMatrix":
         # row i is the q^i-th powers of the coefficients rotated i slots
         # right; frob returns zero and GF(p) constants as they are
         ctx, n = self.ctx, self.ctx.n
         frob = ctx.int_ops()[2]
-        images = [[frob(c.packed, ctx.e * i) for c in self.coeffs]
-                  for i in range(n)]
-        return DicksonMatrix._of_rows(ctx, tuple(
+        images = [[frob(c, ctx.e * i) for c in self.packed] for i in range(n)]
+        return DicksonMatrix._of(ctx, tuple(
             tuple(row[n - i:] + row[:n - i]) for i, row in enumerate(images)))
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearizedPoly):
-            return NotImplemented
-        return self.ctx == other.ctx and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.ctx, self.coeffs))
 
     def __repr__(self):
         return f"LinearizedPoly({list(self.to_encodings())} over {self.ctx!r})"
 
 
-class DicksonMatrix:
-    """n x n matrix over GF(q^n) as packed ``rows``; ``entries`` builds the
-    field elements on each read, and the constructor takes them."""
+class DicksonMatrix(_Packed):
+    """n x n matrix over GF(q^n) as rows of packed ints; ``entries`` builds
+    the field elements on each read, and the constructor takes them."""
 
-    __slots__ = ("ctx", "rows")
+    __slots__ = ()
 
     def __init__(self, ctx: FieldCtx, entries):
         rows = tuple(tuple(ctx.zero._peer(c).packed for c in row)
@@ -133,29 +152,23 @@ class DicksonMatrix:
         n = ctx.n
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"need an n x n array with n={n}")
-        self.ctx, self.rows = ctx, rows
-
-    @classmethod
-    def _of_rows(cls, ctx: FieldCtx, rows) -> "DicksonMatrix":
-        D = cls.__new__(cls)
-        D.ctx, D.rows = ctx, rows
-        return D
+        self.ctx, self.packed = ctx, rows
 
     @property
     def entries(self) -> tuple:
         return tuple(tuple(FieldElem(self.ctx, v) for v in row)
-                     for row in self.rows)
+                     for row in self.packed)
 
     def det(self) -> FieldElem:
-        return FieldElem(self.ctx, _solve(self.ctx, self.rows, 0)[0])
+        return FieldElem(self.ctx, _solve(self.ctx, self.packed, 0)[0])
 
     def det_and_inverse(self) -> tuple[FieldElem, "DicksonMatrix"]:
         """det D and D^-1, whose row i solves x D = e_i; raises on a
         singular matrix."""
-        det, rows = _solve(self.ctx, self.rows, self.ctx.n)
+        det, rows = _solve(self.ctx, self.packed, self.ctx.n)
         if rows is None:
             raise SingularMatrixError("matrix is singular")
-        return FieldElem(self.ctx, det), DicksonMatrix._of_rows(
+        return FieldElem(self.ctx, det), DicksonMatrix._of(
             self.ctx, tuple(map(tuple, rows)))
 
     def inverse_poly(self) -> LinearizedPoly:
@@ -169,36 +182,31 @@ class DicksonMatrix:
         x_i) and must match the elimination determinant and be fixed by the
         q-power Frobenius.
         """
-        return self._checked_inverse(*_solve(self.ctx, self.rows, 1))
+        return self._checked_inverse(*_solve(self.ctx, self.packed, 1))
 
     def _checked_inverse(self, det, solutions) -> LinearizedPoly:
-        """:meth:`inverse_poly` from the packed ``_solve(ctx, rows, 1)``."""
+        """:meth:`inverse_poly` from the packed ``_solve(ctx, packed, 1)``."""
         ctx = self.ctx
         if solutions is None:
             raise SingularMatrixError("polynomial does not permute the field")
         mul, _, frob, _ = ctx.int_ops()
         expansion = 0
-        for row, xi in zip(self.rows, solutions[0]):
+        for row, xi in zip(self.packed, solutions[0]):
             if row[0] and xi:
                 expansion = _kernel.addmod(
                     expansion, mul(row[0], mul(det, xi)), ctx.packing)
         if expansion != det or frob(det, ctx.e) != det:
             raise AssertionError("cofactor expansion disagrees with elimination")
-        return LinearizedPoly(ctx, [FieldElem(ctx, v) for v in solutions[0]])
+        return LinearizedPoly._of(ctx, tuple(solutions[0]))
 
     def cofactor(self, i: int, j: int) -> FieldElem:
         """Signed minor determinant; defined for singular matrices too."""
-        n = self.ctx.n
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"cofactor ({i}, {j}) outside [0, {n})")
-        minor = [r[:j] + r[j + 1:] for r in self.rows[:i] + self.rows[i + 1:]]
-        det = FieldElem(self.ctx, _solve(self.ctx, minor, 0)[0])
+        ctx, rows = self.ctx, self.packed
+        if not (0 <= i < ctx.n and 0 <= j < ctx.n):
+            raise ValueError(f"cofactor ({i}, {j}) outside [0, {ctx.n})")
+        minor = [r[:j] + r[j + 1:] for r in rows[:i] + rows[i + 1:]]
+        det = FieldElem(ctx, _solve(ctx, minor, 0)[0])
         return det if (i + j) % 2 == 0 else -det
-
-    def __eq__(self, other):
-        if not isinstance(other, DicksonMatrix):
-            return NotImplemented
-        return self.ctx == other.ctx and self.rows == other.rows
 
     def __repr__(self):
         encs = [[c.to_int() for c in row] for row in self.entries]

@@ -25,7 +25,7 @@ import random
 import time
 
 from . import _kernel, binomial, linpoly
-from .errors import CapacityError, ContextMismatchError
+from .errors import CapacityError
 from .ffield import (FieldCtx, FieldElem, _embedding_powers,
                      check_characteristic, field_ctx)
 from .linpoly import LinearizedPoly
@@ -77,8 +77,8 @@ def _images(L: LinearizedPoly, mismatches: list | None = None) -> list[int]:
     ``AssertionError`` otherwise.
     """
     ctx = L.ctx
-    support = [i for i, c in enumerate(L.coeffs) if c]
-    img = _kernel.eval_all([L.coeffs[i].packed for i in support],
+    support = [i for i, c in enumerate(L.packed) if c]
+    img = _kernel.eval_all([L.packed[i] for i in support],
                            [ctx._frobenius_map(ctx.e * i) for i in support],
                            ctx.packing)
     bad = []
@@ -124,8 +124,7 @@ def brute_is_permutation(L: LinearizedPoly) -> bool:
 
 def verify_inverse(L: LinearizedPoly, M: LinearizedPoly) -> bool:
     """True iff L(M(x)) = x = M(L(x)) for every x, by :func:`_inverts`."""
-    if M.ctx is not L.ctx and M.ctx != L.ctx:
-        raise ContextMismatchError("inverse check across contexts")
+    L._peer(M, "inverse check")
     _require_capacity(L.ctx)
     return _inverts(_images(L), M)
 
@@ -293,7 +292,7 @@ def _check_case(spec, lift_ts, report):
             fail((CHECK_CRITERION, f"norm criterion: {exc}", None))
             perm_norm = None
         D = L.dickson_matrix()
-        solved = linpoly._solve(ctx, D.rows, 1)  # det, row 0 of D^-1
+        solved = linpoly._solve(ctx, D.packed, 1)  # det, row 0 of D^-1
         counts["eliminations"] += 1
         det = FieldElem(ctx, solved[0])
         perm_det = bool(det)

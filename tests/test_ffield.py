@@ -435,6 +435,10 @@ class TestEmbedding:
         t = f9.gen()
         assert embed_subfield(t, flat).packed == embed_subfield(t, f729).packed
 
+    def test_argument_must_be_an_element(self, f729):
+        with pytest.raises(TypeError, match="expected a field element"):
+            embed_subfield(3, f729)
+
     def test_requires_divisible_degree(self, f9):
         with pytest.raises(ValueError):
             embed_subfield(f9.one, field_ctx(3, 1, 3))

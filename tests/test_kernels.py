@@ -297,3 +297,15 @@ def test_eval_all_matches_per_element_evaluation():
             got = kernel.eval_all(rows, maps, ctx.packing)
             assert got == per_element_eval_all(rows, maps, mod, p), (
                 p, e, n, terms)
+
+    # fields whose own slots are wider than one byte, with all n terms of a
+    # linearized polynomial nonzero
+    for p, n, width in ((17, 2, 2), (11, 3, 2), (257, 2, 4)):
+        ctx = field_ctx(p, 1, n)
+        assert ctx.packing.width == width
+        rows = [pack([rng.randrange(1, p) for _ in range(n)], ctx.packing)
+                for _ in range(n)]
+        maps = [ctx._frobenius_map(i) for i in range(n)]
+        got = kernel.eval_all(rows, maps, ctx.packing)
+        assert got == per_element_eval_all(rows, maps, list(ctx.modulus), p), (
+            p, n)

@@ -8,8 +8,8 @@ import pytest
 from linperm import (BinomialSpec, ContextMismatchError, DicksonMatrix,
                      FieldCtx, FieldElem, LinearizedPoly, SingularMatrixError,
                      SweepConfig, brute_is_permutation, field_ctx,
-                     inverse_dickson, is_permutation_binomial,
-                     is_permutation_dickson, oracle)
+                     inverse_binomial, inverse_dickson,
+                     is_permutation_binomial, is_permutation_dickson, oracle)
 from linperm import _kernel
 from linperm.ffield import LOG_TABLE_MAX_ORDER
 
@@ -118,6 +118,12 @@ class TestCompose:
         M = LinearizedPoly.from_encodings(f9, [7, 2])
         assert L.compose(M) == LinearizedPoly.identity(f9)
         assert M.compose(L) == LinearizedPoly.identity(f9)
+
+    def test_other_must_be_a_polynomial(self, L):
+        with pytest.raises(TypeError, match="expected a linearized polynomial"):
+            L.compose(5)
+        with pytest.raises(TypeError, match="expected a linearized polynomial"):
+            L.compose(L.dickson_matrix())
 
     @pytest.mark.parametrize("p,e,n", EXHAUSTIVE_FIELDS)
     def test_matches_pointwise_composition(self, p, e, n):
@@ -499,3 +505,67 @@ class TestAlgebraicStructure:
             L = LinearizedPoly(ctx, [ctx.random_element(rng) for _ in range(n)])
             det = L.dickson_matrix().det()
             assert det.frobenius(ctx.e) == det
+
+
+class TestPackedStorage:
+    """Both containers hold packed ints: the package's own results are built
+    from them without an element check, and compare and hash like the same
+    container built through the public, checked constructor."""
+
+    def test_internal_results_make_no_element_checks(self, monkeypatch):
+        ctx = field_ctx(3, 1, 32)
+        rng = random.Random(28)
+        spec = BinomialSpec(ctx.random_element(rng), 1)
+        while not is_permutation_binomial(spec):
+            spec = BinomialSpec(ctx.random_element(rng), 1)
+        checks = []
+        real = FieldElem._peer
+
+        def peer(self, other):
+            checks.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(FieldElem, "_peer", peer)
+
+        def count(call):
+            checks.clear()
+            return call(), len(checks)
+
+        L, n_checks = count(spec.poly)
+        assert n_checks == 0
+        # delta = N(a) + (-1)^(n/d - 1) is one checked sum, and the result
+        # adds none
+        _, n_delta = count(lambda: spec.delta)
+        M, n_checks = count(lambda: inverse_binomial(spec))
+        assert n_delta == n_checks == 1
+        identity, n_checks = count(lambda: L.compose(M))
+        assert n_checks == 0
+        D = L.dickson_matrix()
+        matrix_inverse, n_checks = count(D.inverse_poly)
+        assert n_checks == 0
+
+        assert identity == LinearizedPoly.identity(ctx)
+        assert matrix_inverse == M
+        monkeypatch.undo()
+        for internal in (L, M, identity, matrix_inverse):
+            public = LinearizedPoly(ctx, internal.coeffs)
+            assert public == internal and hash(public) == hash(internal)
+        public = DicksonMatrix(ctx, D.entries)
+        assert public == D and hash(public) == hash(D)
+
+    def test_equality_across_equal_contexts(self):
+        fresh = FieldCtx(3, 1, 2)
+        cached = field_ctx(3, 1, 2)
+        assert fresh is not cached
+        for make in (LinearizedPoly.identity,
+                     lambda ctx: LinearizedPoly(ctx, [ctx.one, ctx.zero])):
+            assert make(fresh) == make(cached)
+            assert hash(make(fresh)) == hash(make(cached))
+
+    def test_polynomial_never_equals_matrix(self):
+        for n in (1, 2):
+            ctx = field_ctx(3, 2 // n, n)
+            L = LinearizedPoly.identity(ctx)
+            D = L.dickson_matrix()
+            assert L != D and D != L
+            assert len({L, D}) == 2

@@ -85,6 +85,10 @@ class TestVerifyInverse:
             with pytest.raises(ContextMismatchError):
                 first.compose(second)
 
+    def test_inverse_must_be_a_polynomial(self, L):
+        with pytest.raises(TypeError, match="expected a linearized polynomial"):
+            verify_inverse(L, 5)
+
 
 class TestInverseTable:
     """Inverses checked pointwise against the brute-force image tables."""
