@@ -4,15 +4,16 @@ A field element is one packed int (Kronecker substitution): the vector v
 of its power-basis coefficients, little-endian, is sum(v[i] * 256^(w*i)),
 with w bytes a slot and 256^w > m(p-1)^2 + p for a modulus of degree m, so
 no slot of a product or of a sum of m scaled columns carries into the next
-(w is 1, 2, 4, 8 or 9, since p < 2^31 and m <= 128).  Every kernel,
-:func:`eval_all` included, keeps to this one width.  Every slot of an
-element is reduced into [0, p): zero is 0, one is 1, a GF(p) constant c is
-c, and packed ints compare in encoding order.  A polynomial over GF(p) of
-any degree is packed the same way, its degree read off the bit length;
-products fold through the modulus tail (:func:`_reduce`), and the extended
-Euclid behind :func:`invmod` and :func:`coprime` runs on these ints.  Other
-modules call these through ``_kernel``; digit vectors appear only at the
-text boundary (:func:`digits`, :func:`from_digits`) and in :func:`matvec`.
+(w is 1, 2, 4, 8 or 9, since p < 2^31 and m <= 128).  Every kernel keeps
+to this one width.  Every slot of an element is reduced into [0, p): zero
+is 0, one is 1, a GF(p) constant c is c, and packed ints compare in
+encoding order.  A polynomial over GF(p) is packed the same way, its degree
+read off the bit length; products fold through the modulus tail
+(:func:`_reduce`), and :func:`invmod` and :func:`coprime` run Euclid on
+these ints.  A GF(p)-linear map is its packed columns, the images of its
+basis: :func:`matvec` applies one to digits, :func:`basis_images` forms a
+linearized polynomial's and :func:`eval_all` tabulates one.  Other modules
+call these through ``_kernel``.
 """
 
 import struct
@@ -202,41 +203,34 @@ def _translate(shift, p):
     return row
 
 
-def eval_all(rows, maps, pk):
-    """Evaluate the GF(p)-linear map x -> sum_i c_i * F_i(x) into the field
-    of ``pk`` at every element x of its domain.
+def basis_images(rows, maps, pk):
+    """The m packed columns (images of x^k) of x -> sum_i c_i * F_i(x) on
+    the field of ``pk``, c_i = ``rows[i]`` and F_i given by its columns
+    ``maps[i]``: one :func:`mulmod` per term, none where c_i is one, folded
+    with :func:`addmod`.  No terms give the zero map."""
+    cols = [0] * pk.m
+    for row, fm in zip(rows, maps):
+        cols = [addmod(acc, f if row == 1 else mulmod(row, f, pk), pk)
+                for acc, f in zip(cols, fm)]
+    return cols
 
-    ``rows[i]`` is the packed coefficient c_i and ``maps[i]`` the
-    packed images under F_i of the domain's basis vectors: the columns of a
-    Frobenius power for a term of a linearized polynomial, or those of a
-    subfield embedding.  The domain dimension is the number of columns; a
-    map with no terms is zero on the field of ``pk``.  Elements of the
-    domain are enumerated in encoding order, the base-p digits of enc(x)
-    being x's coordinates in that basis; entry enc(x) of the result is
-    enc(value).
 
-    The map is GF(p)-linear, so it is evaluated directly only on the basis
-    vectors: image k is the sum over i of c_i * (column k of F_i), one
-    :func:`mulmod` per term folded with :func:`addmod`, in the field's own
-    slots.  The table is then filled digit by digit by
-    img[j + c*p^k] = img[j + (c-1)*p^k] + col_k, where col_k is the image of
-    the k-th basis vector.  For p = 2 the addition is one XOR per entry; for
-    odd p each entry is split into a low and a high half of its digits, and
-    the translation by col_k is read off one precomputed row per half.
+def eval_all(cols, pk):
+    """Table of the GF(p)-linear map into the field of ``pk`` that sends
+    the domain's basis vector of encoding p^k to the packed ``cols[k]``:
+    entry enc(x) is enc of x's image, for every x in encoding order.
+
+    Filled digit by digit, img[j + c*p^k] = img[j + (c-1)*p^k] + col_k: for
+    p = 2 one XOR per entry; for odd p each entry is split into a low and a
+    high half of its digits, and the translation by col_k is read off one
+    precomputed row per half.
     """
     m, p = pk.m, pk.p
-    cols = []
-    for k in range(len(maps[0]) if maps else m):
-        acc = 0
-        for row, fm in zip(rows, maps):
-            acc = addmod(acc, mulmod(row, fm[k], pk), pk)
-        cols.append(digits(acc, pk))
+    cols = [digits(c, pk) for c in cols]
     out = [0]
     if p == 2:
         for col in cols:
-            enc = 0
-            for c in reversed(col):
-                enc = enc * 2 + c
+            enc = sum(c << k for k, c in enumerate(col))
             out += [v ^ enc for v in out]
         return out
     half = (m + 1) // 2

@@ -5,10 +5,10 @@ this module rather than ``_corepy`` so that a caller's kernel calls can be
 replaced or traced here without touching ``_corepy``'s calls to itself.
 """
 
-from ._corepy import (Packing, addmod, coprime, digits, eval_all, from_digits,
-                      identity_cols, invmod, matvec, mulmod,
-                      next_frobenius_cols, submod)
+from ._corepy import (Packing, addmod, basis_images, coprime, digits,
+                      eval_all, from_digits, identity_cols, invmod, matvec,
+                      mulmod, next_frobenius_cols, submod)
 
-__all__ = ["Packing", "addmod", "coprime", "digits", "eval_all", "from_digits",
-           "identity_cols", "invmod", "matvec", "mulmod",
-           "next_frobenius_cols", "submod"]
+__all__ = ["Packing", "addmod", "basis_images", "coprime", "digits",
+           "eval_all", "from_digits", "identity_cols", "invmod", "matvec",
+           "mulmod", "next_frobenius_cols", "submod"]

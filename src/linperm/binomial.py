@@ -20,8 +20,8 @@ import math
 
 from . import _kernel
 from .errors import NotAPermutationError, UnsupportedShapeError
-from .ffield import FieldCtx, FieldElem, embed_subfield
-from .linpoly import LinearizedPoly
+from .ffield import FieldCtx, FieldElem, _expect, embed_subfield
+from .linpoly import LinearizedPoly, _poly
 
 
 class BinomialSpec:
@@ -30,9 +30,7 @@ class BinomialSpec:
     delta = N(a) + (-1)^(n/d - 1) (recomputed from it on each read)."""
 
     def __init__(self, a: FieldElem, r: int):
-        if not isinstance(a, FieldElem):
-            raise TypeError("a must be a field element")
-        n = a.ctx.n
+        n = _expect(a, FieldElem, "a field element").ctx.n
         if not isinstance(r, int) or not 1 <= r <= n - 1:
             raise ValueError(f"r={r} outside [1, {n - 1}]")
         self.a = a
@@ -197,7 +195,8 @@ def lift(L: LinearizedPoly, t: int, big: FieldCtx) -> LinearizedPoly:
     polynomial agrees with L on the embedded copy of GF(q^n), and permutes
     the big field whenever L permutes the small one.
     """
-    small = L.ctx
+    small = _poly(L).ctx
+    _expect(big, FieldCtx, "a field context")
     n = small.n
     check_lift_factor(t, n)
     if big.p != small.p or big.n != n or big.e != small.e * t:

@@ -136,6 +136,8 @@ def run_bench(p, e, n, r, trials):
     Returns (closed_ns, dickson_ns, agree): mean wall nanoseconds over
     ``trials`` >= 1 trials, and whether the outputs agreed on every trial.
     """
+    if trials < 1:
+        raise ValueError("trials must be positive")
     ctx = field_ctx(p, e, n)
     rng = random.Random(BENCH_SEED)
     closed_total = 0

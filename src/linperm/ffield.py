@@ -76,6 +76,13 @@ def check_characteristic(p: int) -> None:
         raise ValueError(f"p={p} exceeds the word-size bound {MAX_PRIME}")
 
 
+def _expect(obj, cls, what: str):
+    """``obj``; raises TypeError unless it is a ``cls``, named ``what``."""
+    if not isinstance(obj, cls):
+        raise TypeError(f"expected {what}, got {type(obj).__name__}")
+    return obj
+
+
 def int_to_coeffs(value: int, length: int, p: int) -> tuple[int, ...]:
     """Little-endian base-p digits of ``value``, padded to ``length``."""
     digits = []
@@ -203,10 +210,7 @@ class FieldCtx:
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"n={n} must be a positive integer")
         m = e * n
-        self.p = p
-        self.e = e
-        self.n = n
-        self.m = m
+        self.p, self.e, self.n, self.m = p, e, n, m
         self.q = p**e
         self.order = p**m
         self.modulus = find_irreducible(p, m)
@@ -214,9 +218,7 @@ class FieldCtx:
         self.zero = FieldElem(self, 0)
         self.one = FieldElem(self, 1)
         self._frob = {}
-        self._log = None
-        self._exp = None
-        self._ops = None
+        self._log = self._exp = self._ops = None
 
     def __eq__(self, other):
         if not isinstance(other, FieldCtx):
@@ -601,10 +603,8 @@ def embed_subfield(x: FieldElem, big: FieldCtx) -> FieldElem:
     :func:`_embedding_powers` reaches first; repeated calls and processes
     agree.
     """
-    if not isinstance(x, FieldElem):
-        raise TypeError(f"expected a field element, got {type(x).__name__}")
-    small = x.ctx
-    if small.p != big.p:
+    small = _expect(x, FieldElem, "a field element").ctx
+    if _expect(big, FieldCtx, "a field context").p != small.p:
         raise ValueError("fields of different characteristic")
     if big.m % small.m:
         raise ValueError(

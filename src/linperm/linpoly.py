@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from . import _kernel
 from .errors import ContextMismatchError, SingularMatrixError
-from .ffield import FieldCtx, FieldElem
+from .ffield import FieldCtx, FieldElem, _expect
 
 
 class _Packed:
@@ -85,10 +85,7 @@ class LinearizedPoly(_Packed):
         return tuple(c.to_int() for c in self.coeffs)
 
     def _peer(self, other, what: str) -> "LinearizedPoly":
-        if not isinstance(other, LinearizedPoly):
-            raise TypeError(
-                f"expected a linearized polynomial, got {type(other).__name__}")
-        if other.ctx is not self.ctx and other.ctx != self.ctx:
+        if _poly(other).ctx is not self.ctx and other.ctx != self.ctx:
             raise ContextMismatchError(f"{what} across contexts")
         return other
 
@@ -292,12 +289,17 @@ def _inverse_all(values, mul, inv):
     return out, prefix[-1]
 
 
+def _poly(obj) -> LinearizedPoly:
+    """``obj``; raises TypeError unless it is a linearized polynomial."""
+    return _expect(obj, LinearizedPoly, "a linearized polynomial")
+
+
 def is_permutation_dickson(L: LinearizedPoly) -> bool:
     """Determinant criterion: L permutes GF(q^n) iff det of D_L is nonzero."""
-    return bool(L.dickson_matrix().det())
+    return bool(_poly(L).dickson_matrix().det())
 
 
 def inverse_dickson(L: LinearizedPoly) -> LinearizedPoly:
     """Compositional inverse through the Dickson matrix, by one linear solve
     and a cofactor-expansion check; see :meth:`DicksonMatrix.inverse_poly`."""
-    return L.dickson_matrix().inverse_poly()
+    return _poly(L).dickson_matrix().inverse_poly()

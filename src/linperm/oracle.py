@@ -2,9 +2,10 @@
 
 Everything here builds the table of a polynomial's values at every field
 element and compares it against the closed forms elsewhere in the package;
-nothing is derived from the formulas under test.  A table is built by
-evaluating the polynomial directly on the m basis vectors of GF(p^m) and
-extending by GF(p)-linearity.  Linearity is checked, not assumed: a seeded
+nothing is derived from the formulas under test.  A table is filled by the
+kernel from packed columns, the images of the m basis vectors of GF(p^m),
+by GF(p)-linearity: a polynomial's are formed from its terms, a subfield
+embedding's are its own.  Linearity is checked, not assumed: a seeded
 sample of non-basis elements is re-evaluated directly with
 :meth:`LinearizedPoly.eval` and must match the table.  Two predicates
 read L's table alone, its kernel size and whether it sends M(x) back to x
@@ -70,17 +71,18 @@ def _direct_sample(ctx: FieldCtx) -> tuple:
 def _images(L: LinearizedPoly, mismatches: list | None = None) -> list[int]:
     """enc(L(x)) for every x, in encoding order.
 
-    The kernel evaluates L on the basis and extends by linearity; the sampled
-    elements of :func:`_direct_sample` are then re-evaluated with
+    The kernel forms L's basis images from its nonzero terms and fills the
+    table from those columns (``basis_images``, then ``eval_all``); the
+    sampled elements of :func:`_direct_sample` are then re-evaluated with
     ``L.eval``.  Each disagreement is appended to ``mismatches`` as
     (x, table value, direct value) when a list is given, and raises
     ``AssertionError`` otherwise.
     """
-    ctx = L.ctx
+    ctx, pk = L.ctx, L.ctx.packing
     support = [i for i, c in enumerate(L.packed) if c]
-    img = _kernel.eval_all([L.packed[i] for i in support],
-                           [ctx._frobenius_map(ctx.e * i) for i in support],
-                           ctx.packing)
+    img = _kernel.eval_all(_kernel.basis_images(
+        [L.packed[i] for i in support],
+        [ctx._frobenius_map(ctx.e * i) for i in support], pk), pk)
     bad = []
     for enc, x in _direct_sample(ctx):
         direct = L.eval(x).to_int()
@@ -115,7 +117,7 @@ def _inverts(img_l: list[int], M: LinearizedPoly) -> bool:
 
 def brute_is_permutation(L: LinearizedPoly) -> bool:
     """Exhaustive bijectivity check; raises if image and kernel disagree."""
-    _require_capacity(L.ctx)
+    _require_capacity(linpoly._poly(L).ctx)
     kernel = _kernel_size(_images(L))
     if kernel is None:
         raise AssertionError("image and kernel checks disagree")
@@ -124,7 +126,7 @@ def brute_is_permutation(L: LinearizedPoly) -> bool:
 
 def verify_inverse(L: LinearizedPoly, M: LinearizedPoly) -> bool:
     """True iff L(M(x)) = x = M(L(x)) for every x, by :func:`_inverts`."""
-    L._peer(M, "inverse check")
+    linpoly._poly(L)._peer(M, "inverse check")
     _require_capacity(L.ctx)
     return _inverts(_images(L), M)
 
@@ -133,7 +135,7 @@ def verify_inverse(L: LinearizedPoly, M: LinearizedPoly) -> bool:
 def _embedding_table(small: FieldCtx, big: FieldCtx) -> list[int]:
     """enc_big(embed(x)) for every small element x, in encoding order,
     filled by the kernel from the embedding's columns."""
-    return _kernel.eval_all([1], [_embedding_powers(small, big)], big.packing)
+    return _kernel.eval_all(_embedding_powers(small, big), big.packing)
 
 
 class SweepConfig(collections.namedtuple(

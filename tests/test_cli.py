@@ -281,6 +281,10 @@ class TestBench:
         assert code == 0
         assert json.loads(out) == {}
 
+    def test_run_bench_needs_a_positive_trial_count(self):
+        with pytest.raises(ValueError, match="trials must be positive"):
+            cli.run_bench(3, 1, 2, 1, 0)
+
     def test_negative_trials(self, capsys):
         code, out, err = run(capsys, "bench", "--p", "3", "--e", "1", "--n", "2",
                              "--trials", "-1")

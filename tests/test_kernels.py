@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sympy.polys import galoistools as gt
 from sympy.polys.domains import ZZ
 
-from linperm import _corepy
+from linperm import _corepy, ffield
 from linperm import _kernel as kernel
 from linperm.ffield import (MAX_DEGREE, MAX_PRIME, _is_irreducible, field_ctx,
                             find_irreducible, int_to_coeffs)
@@ -249,7 +249,7 @@ def test_eval_all_matches_per_element_evaluation():
     identity = kernel.identity_cols(pk)
     frob = (pack([1, 0], pk), pack([0, 2], pk))  # t -> t^3 = 2t
     maps = [identity, frob]
-    got = kernel.eval_all(rows, maps, pk)
+    got = kernel.eval_all(kernel.basis_images(rows, maps, pk), pk)
     assert len(got) == 9
     assert got == per_element_eval_all(rows, maps, mod, p)
 
@@ -258,7 +258,8 @@ def test_eval_all_matches_per_element_evaluation():
     ctx = field_ctx(5, 1, 4)
     rows = [pack([4] * 4, ctx.packing)] * 4
     maps = [[pack([4] * 4, ctx.packing)] * 4] * 4
-    got = kernel.eval_all(rows, maps, ctx.packing)
+    got = kernel.eval_all(
+        kernel.basis_images(rows, maps, ctx.packing), ctx.packing)
     assert got == per_element_eval_all(rows, maps, list(ctx.modulus), 5)
 
     # 0 to 3 terms over every GF(p^m), p in {2, 3, 5} and m <= 6, the prime
@@ -274,7 +275,8 @@ def test_eval_all_matches_per_element_evaluation():
                         for _ in range(terms)]
                 maps = [ctx._frobenius_map(rng.randrange(m))
                         for _ in range(terms)]
-                got = kernel.eval_all(rows, maps, ctx.packing)
+                got = kernel.eval_all(
+                    kernel.basis_images(rows, maps, ctx.packing), ctx.packing)
                 assert got == per_element_eval_all(rows, maps, mod, p), (
                     p, m, terms)
 
@@ -294,7 +296,8 @@ def test_eval_all_matches_per_element_evaluation():
                          ctx.packing)
                     for _ in terms]
             maps = [ctx._frobenius_map(e * i) for i in terms]
-            got = kernel.eval_all(rows, maps, ctx.packing)
+            got = kernel.eval_all(
+                kernel.basis_images(rows, maps, ctx.packing), ctx.packing)
             assert got == per_element_eval_all(rows, maps, mod, p), (
                 p, e, n, terms)
 
@@ -306,6 +309,84 @@ def test_eval_all_matches_per_element_evaluation():
         rows = [pack([rng.randrange(1, p) for _ in range(n)], ctx.packing)
                 for _ in range(n)]
         maps = [ctx._frobenius_map(i) for i in range(n)]
-        got = kernel.eval_all(rows, maps, ctx.packing)
+        got = kernel.eval_all(
+            kernel.basis_images(rows, maps, ctx.packing), ctx.packing)
         assert got == per_element_eval_all(rows, maps, list(ctx.modulus), p), (
             p, n)
+
+
+def test_basis_images_of_a_monic_binomial_take_one_product_per_column(
+        monkeypatch):
+    # x^(q^r) + a*x: the unit coefficient's column is added as it is
+    ctx = field_ctx(3, 1, 4)
+    pk = ctx.packing
+    a = pack([2, 1, 0, 1], pk)
+    rows, maps = [a, 1], [ctx._frobenius_map(0), ctx._frobenius_map(2)]
+    real = _corepy.mulmod
+    products = []
+
+    def mulmod(x, y, pk):
+        products.append(x)
+        return real(x, y, pk)
+
+    monkeypatch.setattr(_corepy, "mulmod", mulmod)
+    cols = kernel.basis_images(rows, maps, pk)
+    assert products == [a] * 4
+    assert kernel.eval_all(cols, pk) == per_element_eval_all(
+        rows, maps, list(ctx.modulus), 3)
+
+
+def encode(x, pk):
+    """enc of the packed element ``x``: its digits read in base p."""
+    return sum(c * pk.p**k for k, c in enumerate(kernel.digits(x, pk)))
+
+
+def frobenius_maps(p, n, ks):
+    ctx = field_ctx(p, 1, n)
+    return [(ctx.packing, ctx._frobenius_map(k)) for k in ks]
+
+
+def random_map(p, n, seed):
+    pk = field_ctx(p, 1, n).packing
+    rng = random.Random(seed)
+    return [(pk, [pack([rng.randrange(p) for _ in range(n)], pk)
+                  for _ in range(n)])]
+
+
+def embedding_map(p, small, big):
+    return [(field_ctx(p, 1, big).packing, ffield._embedding_powers(
+        field_ctx(p, 1, small), field_ctx(p, 1, big)))]
+
+
+def zero_maps(p, n):
+    # every domain dimension from 0 (the one-entry table) to n
+    pk = field_ctx(p, 1, n).packing
+    return [(pk, [0] * k) for k in range(n + 1)]
+
+
+# linear maps by name, as (packing of the target, packed columns) pairs
+TABULATED_MAPS = {
+    "frobenius GF(2^5)": lambda: frobenius_maps(2, 5, range(5)),
+    "frobenius GF(3^4)": lambda: frobenius_maps(3, 4, range(4)),
+    "frobenius GF(5^3)": lambda: frobenius_maps(5, 3, range(3)),
+    "embedding GF(3^2) -> GF(3^6)": lambda: embedding_map(3, 2, 6),
+    "embedding GF(2^3) -> GF(2^6)": lambda: embedding_map(2, 3, 6),
+    "zero GF(2^3)": lambda: zero_maps(2, 3),
+    "zero GF(3^3)": lambda: zero_maps(3, 3),
+    "GF(17^2)": lambda: frobenius_maps(17, 2, range(2)) + random_map(17, 2, 1),
+    "GF(257^2)": lambda: frobenius_maps(257, 2, [1]) + random_map(257, 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(TABULATED_MAPS))
+def test_eval_all_tabulates_the_map_of_its_columns(name):
+    # entry enc(x) is enc(matvec(cols, digits of x)) for every x of the
+    # domain, whose dimension is the number of columns
+    for pk, cols in TABULATED_MAPS[name]():
+        p, dim = pk.p, len(cols)
+        got = kernel.eval_all(cols, pk)
+        assert len(got) == p**dim
+        for enc in range(p**dim):
+            x = [enc // p**k % p for k in range(dim)]
+            assert got[enc] == encode(kernel.matvec(cols, x, pk), pk), (
+                name, enc)

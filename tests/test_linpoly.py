@@ -7,9 +7,10 @@ import pytest
 
 from linperm import (BinomialSpec, ContextMismatchError, DicksonMatrix,
                      FieldCtx, FieldElem, LinearizedPoly, SingularMatrixError,
-                     SweepConfig, brute_is_permutation, field_ctx,
-                     inverse_binomial, inverse_dickson,
-                     is_permutation_binomial, is_permutation_dickson, oracle)
+                     SweepConfig, brute_is_permutation, embed_subfield,
+                     field_ctx, inverse_binomial, inverse_dickson,
+                     is_permutation_binomial, is_permutation_dickson, lift,
+                     oracle, verify_inverse)
 from linperm import _kernel
 from linperm.ffield import LOG_TABLE_MAX_ORDER
 
@@ -569,3 +570,18 @@ class TestPackedStorage:
             D = L.dickson_matrix()
             assert L != D and D != L
             assert len({L, D}) == 2
+
+
+@pytest.mark.parametrize("call,expected", [
+    (lambda L: lift(5, 1, L.ctx), "a linearized polynomial"),
+    (lambda L: brute_is_permutation(5), "a linearized polynomial"),
+    (lambda L: verify_inverse(5, L), "a linearized polynomial"),
+    (lambda L: inverse_dickson(5), "a linearized polynomial"),
+    (lambda L: is_permutation_dickson(5), "a linearized polynomial"),
+    (lambda L: lift(L, 1, 5), "a field context"),
+    (lambda L: embed_subfield(L.ctx.one, 5), "a field context"),
+], ids=["lift", "brute_is_permutation", "verify_inverse", "inverse_dickson",
+        "is_permutation_dickson", "lift_big", "embed_subfield_big"])
+def test_non_polynomial_or_context_is_a_type_error(L, call, expected):
+    with pytest.raises(TypeError, match=f"^expected {expected}, got int$"):
+        call(L)

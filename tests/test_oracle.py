@@ -335,8 +335,8 @@ class TestDirectCheck:
         target = oracle._direct_sample(field_ctx(3, 1, 2))[0][0]
         real = _kernel.eval_all
 
-        def eval_all(rows, maps, pk):
-            img = real(rows, maps, pk)
+        def eval_all(cols, pk):
+            img = real(cols, pk)
             if pk.p**pk.m == 9:
                 img[target] = (img[target] + 1) % 9
             return img
