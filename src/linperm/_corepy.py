@@ -11,9 +11,10 @@ encoding order.  A polynomial over GF(p) is packed the same way, its degree
 read off the bit length; products fold through the modulus tail
 (:func:`_reduce`), and :func:`invmod` and :func:`coprime` run Euclid on
 these ints.  A GF(p)-linear map is its packed columns, the images of its
-basis: :func:`matvec` applies one to digits, :func:`basis_images` forms a
-linearized polynomial's and :func:`eval_all` tabulates one.  Other modules
-call these through ``_kernel``.
+basis: :func:`matvec` applies one to digits and :func:`matvec_split` a
+stack of k maps at once, :func:`basis_images` forms a linearized
+polynomial's and :func:`eval_all` tabulates one.  Other modules call these
+through ``_kernel``.
 """
 
 import struct
@@ -175,6 +176,15 @@ def matvec(cols, v, pk):
     """Apply the linear map with packed columns ``cols`` to the digits
     ``v``; the image is packed."""
     return _norm(sum(map(mul, v, cols)), pk)
+
+
+def matvec_split(cols, v, k, pk):
+    """The k packed images of the digits ``v`` under the map with packed
+    columns ``cols`` that stack k maps, map j in slots j*m ... j*m + m - 1:
+    one sum of scaled columns, then one reduction of its k*m slots."""
+    m = pk.m
+    s = _slots(sum(map(mul, v, cols)), k * m, pk)
+    return [_pack(s[i:i + m], pk.width) for i in range(0, k * m, m)]
 
 
 def identity_cols(pk):

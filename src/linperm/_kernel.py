@@ -7,8 +7,8 @@ replaced or traced here without touching ``_corepy``'s calls to itself.
 
 from ._corepy import (Packing, addmod, basis_images, coprime, digits,
                       eval_all, from_digits, identity_cols, invmod, matvec,
-                      mulmod, next_frobenius_cols, submod)
+                      matvec_split, mulmod, next_frobenius_cols, submod)
 
 __all__ = ["Packing", "addmod", "basis_images", "coprime", "digits",
            "eval_all", "from_digits", "identity_cols", "invmod", "matvec",
-           "mulmod", "next_frobenius_cols", "submod"]
+           "matvec_split", "mulmod", "next_frobenius_cols", "submod"]

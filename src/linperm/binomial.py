@@ -10,7 +10,8 @@ does, the compositional inverse is
 with delta = N(a) + (-1)^(n/d - 1), exponents of x reduced modulo q^n.  As
 j*r mod n, j < n/d, runs over the multiples of d, the conjugates a^(q^(j*r))
 multiply to N(a), so coefficient i is (-1)^i / delta times those with j > i:
-one descending chain of conjugates of a, which inverts delta alone.
+one descending chain of products over the orbit of a, which inverts delta
+alone.
 """
 
 from __future__ import annotations
@@ -84,25 +85,24 @@ def inverse_binomial(spec: BinomialSpec) -> LinearizedPoly:
     For a = 0 the binomial degenerates to the monomial x^(q^r), whose
     inverse is x^(q^(n-r)).  Otherwise slot (i*r mod n) receives
     (-1)^i * u_i, where u_(n/d-1) = 1/delta and u_(i-1) = u_i * y_i with
-    y_i = a^(q^(i*r)), the q^(n-r)-power image of y_(i+1) (y_(n/d) = a).
-    The chain runs on the packed ints of :meth:`FieldCtx.int_ops`.
+    y_i = a^(q^(i*r)), conjugate i*r mod n of a's orbit, taken once.  The
+    chain runs on the packed ints of :meth:`FieldCtx.int_ops`.
     """
     ctx = spec.ctx
-    n, e, r = ctx.n, ctx.e, spec.r
+    n, r = ctx.n, spec.r
     if not spec.a:
         return LinearizedPoly.monomial(ctx, (n - r) % n)
     delta = spec.delta
     if not delta:
         raise NotAPermutationError(
             "binomial does not permute the field: criterion value is 1")
-    mul, inv, frob, _ = ctx.int_ops()
+    mul, inv, _, _, orbit = ctx.int_ops()
+    conj, u = orbit(spec.a.packed), inv(delta.packed)
     coeffs = [0] * n
-    u, y = inv(delta.packed), spec.a.packed
     for i in range(n // spec.d - 1, -1, -1):
         coeffs[i * r % n] = _kernel.submod(0, u, ctx.packing) if i % 2 else u
         if i:
-            y = frob(y, e * (n - r))
-            u = mul(u, y)
+            u = mul(u, conj[i * r % n])
     return LinearizedPoly._of(ctx, tuple(coeffs))
 
 
@@ -127,8 +127,9 @@ def inverse_special(spec: BinomialSpec, which: str | None = None) -> LinearizedP
 
     A deliberately independent evaluation path: norms and coefficient powers
     are computed by square-and-multiply with explicit integer exponents, not
-    by the Frobenius chains of :func:`inverse_binomial`.  The result must be
-    coefficientwise equal to the general formula whenever a shape applies.
+    by the norm chain and orbit of :func:`inverse_binomial`.  The result
+    must be coefficientwise equal to the general formula whenever a shape
+    applies.
     """
     ctx = spec.ctx
     n, r = ctx.n, spec.r

@@ -13,17 +13,18 @@ The q-power Frobenius is the e-fold p-power Frobenius, so one basis carries
 the whole tower.  Relative norms are doubling chains of Frobenius images
 and products, so no big-integer exponent is ever formed on the main paths.
 
-How products, inverses, Frobenius images and powers are computed depends
-on the field order alone, and :meth:`FieldCtx.int_ops` alone decides it,
-once per context, for :class:`FieldElem` and the packed loops of
-``linpoly`` alike.  A context of at most ``LOG_TABLE_MAX_ORDER`` elements
-builds an antilog table of the powers of its smallest-encoding primitive
-element g and the inverse log table; then x*y = g^(log x + log y),
-1/x = g^(-log x), x^(p^k) = g^(p^k log x) and x^k = g^(k log x),
-exponents mod order - 1.  A larger context never builds tables: products
-and Frobenius maps, each cached as its m packed columns, run on the
-packed-integer kernels with the context's ``packing``, inverses come from
-the extended Euclidean algorithm on packed polynomials
+How products, inverses, Frobenius images, powers and orbits (the n
+conjugates x^(q^j), j < n) are computed depends on the field order alone,
+and :meth:`FieldCtx.int_ops` alone decides it, once per context, for
+:class:`FieldElem` and the packed loops of ``linpoly`` and ``binomial``
+alike.  A context of at most ``LOG_TABLE_MAX_ORDER`` elements builds an
+antilog table of the powers of its smallest-encoding primitive element g
+and the inverse log table; then x*y = g^(log x + log y), 1/x = g^(-log x),
+x^(p^k) = g^(p^k log x) and x^k = g^(k log x), exponents mod order - 1.
+A larger context never builds tables: products, Frobenius maps and the
+stack of the n maps x -> x^(q^j), each map cached as its m packed columns,
+run on the packed-integer kernels with the context's ``packing``, inverses
+come from the extended Euclidean algorithm on packed polynomials
 (``_kernel.invmod``), and powers are square-and-multiply over the packed
 product.  Addition, subtraction and negation are slotwise on the
 packed ints either way.
@@ -201,7 +202,7 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "e", "n", "m", "q", "order", "modulus", "packing",
-                 "zero", "one", "_frob", "_log", "_exp", "_ops")
+                 "zero", "one", "_frob", "_orbit", "_log", "_exp", "_ops")
 
     def __init__(self, p: int, e: int, n: int):
         check_characteristic(p)
@@ -218,7 +219,7 @@ class FieldCtx:
         self.zero = FieldElem(self, 0)
         self.one = FieldElem(self, 1)
         self._frob = {}
-        self._log = self._exp = self._ops = None
+        self._orbit = self._log = self._exp = self._ops = None
 
     def __eq__(self, other):
         if not isinstance(other, FieldCtx):
@@ -242,7 +243,7 @@ class FieldCtx:
                              else self.p)
 
     def from_int(self, value: int) -> "FieldElem":
-        if not 0 <= value < self.order:
+        if not 0 <= _expect(value, int, "an int encoding") < self.order:
             raise ValueError(f"encoding {value} outside [0, {self.order})")
         return FieldElem(self, _kernel.from_digits(
             int_to_coeffs(value, self.m, self.p), self.packing))
@@ -287,17 +288,19 @@ class FieldCtx:
         return log
 
     def int_ops(self):
-        """(mul, inv, frob, pow) on packed ints, chosen once per context:
-        log-table lookups, else ``_kernel.mulmod``, ``invmod`` and
-        ``matvec``, and square-and-multiply over ``mulmod`` for ``pow(x, k)``
-        = x^k, k >= 0.  ``mul``, ``inv`` and ``pow`` take no zero operand;
-        ``frob(x, k)`` = x^(p^k) returns x as it is when k = 0 or x is a
-        GF(p) constant (x < 256^width), but above the cap still builds the
-        map of k for every nonzero x, so ``one.frobenius(k)`` warms it."""
+        """(mul, inv, frob, pow, orbit) on packed ints, chosen once per
+        context: log-table lookups, else ``_kernel.mulmod``, ``invmod``,
+        ``matvec``, square-and-multiply over ``mulmod`` for ``pow(x, k)``
+        = x^k, k >= 0, and ``matvec_split`` on :meth:`_orbit_map` for
+        ``orbit(x)`` = [x^(q^j) for j < n].  ``mul``, ``inv`` and ``pow``
+        take no zero operand; ``frob(x, k)`` = x^(p^k) returns x as it is
+        when k = 0 or x is a GF(p) constant (x < 256^width), and ``orbit``
+        repeats such an x n times, but above the cap ``frob`` still builds
+        the map of k for every nonzero x, so ``one.frobenius(k)`` warms it."""
         if self._ops is None:
             log = self._log_tables()
             fixed = 1 << 8 * self.packing.width
-            units = self.order - 1
+            units, n = self.order - 1, self.n
             if log is None:
                 pk, maps = self.packing, self._frobenius_map
 
@@ -310,20 +313,37 @@ class FieldCtx:
                     cols = maps(k)
                     return x if x < fixed else _kernel.matvec(
                         cols, _kernel.digits(x, pk), pk)
+
+                def orbit(x):
+                    return [x] * n if x < fixed else _kernel.matvec_split(
+                        self._orbit_map(), _kernel.digits(x, pk), n, pk)
                 self._ops = (mul, lambda a: _kernel.invmod(a, pk), frob,
-                             lambda x, k: _power(x, k % units, mul, 1))
+                             lambda x, k: _power(x, k % units, mul, 1), orbit)
             else:
                 exp, p = self._exp, self.p
+                qs = [pow(self.q, j, units) for j in range(n)]
                 self._ops = (lambda a, b: exp[log[a] + log[b]],
                              lambda a: exp[units - log[a]],
                              lambda x, k: x if x < fixed or not k else
                              exp[log[x] * pow(p, k, units) % units],
-                             lambda x, k: exp[log[x] * k % units])
+                             lambda x, k: exp[log[x] * k % units],
+                             lambda x: [x] * n if x < fixed else
+                             [exp[log[x] * t % units] for t in qs])
         return self._ops
 
     def _mul(self, a, b):
         """Product of two packed elements of this field."""
         return _kernel.mulmod(a, b, self.packing)
+
+    def _orbit_map(self) -> tuple:
+        """Packed columns of x -> (x, x^q, ..., x^(q^(n-1))): column i holds
+        column i of ``_frobenius_map(e*j)`` in slots j*m ... j*m + m - 1."""
+        if self._orbit is None:
+            shift = 8 * self.packing.width * self.m
+            maps = [self._frobenius_map(k) for k in range(0, self.m, self.e)]
+            self._orbit = tuple(sum(c << shift * j for j, c in enumerate(col))
+                                for col in zip(*maps))
+        return self._orbit
 
     def _frobenius_map(self, k: int) -> tuple:
         """Packed columns (x^j)^(p^k), j < m, of x -> x^(p^k); cached.
@@ -431,7 +451,7 @@ class FieldElem:
             raise ValueError(f"d={d} does not divide n={ctx.n}")
         if not self.packed:
             return self
-        mul, _, frob, _ = ctx.int_ops()
+        mul, _, frob, _, _ = ctx.int_ops()
         step = ctx.e * d
         acc = x = self.packed
         j = 1

@@ -69,7 +69,7 @@ class LinearizedPoly(_Packed):
     @classmethod
     def monomial(cls, ctx: FieldCtx, r: int) -> "LinearizedPoly":
         """x^(q^r)."""
-        if not 0 <= r < ctx.n:
+        if not 0 <= _expect(r, int, "an int slot") < ctx.n:
             raise ValueError(f"slot r={r} outside [0, {ctx.n})")
         return cls._of(ctx, (0,) * r + (1,) + (0,) * (ctx.n - r - 1))
 
@@ -98,7 +98,7 @@ class LinearizedPoly(_Packed):
         ctx.zero._peer(x)
         if not x.packed:
             return ctx.zero
-        mul, _, frob, _ = ctx.int_ops()
+        mul, _, frob, _, _ = ctx.int_ops()
         acc = 0
         for i, a in enumerate(self.packed):
             if a:
@@ -113,7 +113,7 @@ class LinearizedPoly(_Packed):
         """
         bs = self._peer(other, "composition").packed
         ctx = self.ctx
-        mul, _, frob, _ = ctx.int_ops()
+        mul, _, frob, _, _ = ctx.int_ops()
         n, pk = ctx.n, ctx.packing
         out = [0] * n
         for i, a in enumerate(self.packed):
@@ -126,12 +126,13 @@ class LinearizedPoly(_Packed):
 
     def dickson_matrix(self) -> "DicksonMatrix":
         # row i is the q^i-th powers of the coefficients rotated i slots
-        # right; frob returns zero and GF(p) constants as they are
+        # right, so column j of the unrotated rows is the orbit of a_j;
+        # orbit repeats zero and GF(p) constants with no kernel call
         ctx, n = self.ctx, self.ctx.n
-        frob = ctx.int_ops()[2]
-        images = [[frob(c, ctx.e * i) for c in self.packed] for i in range(n)]
+        orbit = ctx.int_ops()[4]
+        images = zip(*map(orbit, self.packed))
         return DicksonMatrix._of(ctx, tuple(
-            tuple(row[n - i:] + row[:n - i]) for i, row in enumerate(images)))
+            row[n - i:] + row[:n - i] for i, row in enumerate(images)))
 
     def __repr__(self):
         return f"LinearizedPoly({list(self.to_encodings())} over {self.ctx!r})"
@@ -186,7 +187,7 @@ class DicksonMatrix(_Packed):
         ctx = self.ctx
         if solutions is None:
             raise SingularMatrixError("polynomial does not permute the field")
-        mul, _, frob, _ = ctx.int_ops()
+        mul, _, frob, _, _ = ctx.int_ops()
         expansion = 0
         for row, xi in zip(self.packed, solutions[0]):
             if row[0] and xi:
@@ -227,7 +228,7 @@ def _solve(ctx, rows, k):
     is only formed when both operands are nonzero, so an entry costs field
     work only while it is nonzero.  An empty D has det one.
     """
-    mul, inv, _, _ = ctx.int_ops()
+    mul, inv, _, _, _ = ctx.int_ops()
     pk = ctx.packing
     sub = _kernel.submod
     n = len(rows)

@@ -213,9 +213,9 @@ class TestInverseBinomial:
 
 
 def count_int_ops(monkeypatch, ctx):
-    """Wrap the context's int-level (mul, inv, frob, pow) in counters; the
-    dict maps each name to the list of its first operands."""
-    calls = {name: [] for name in ("mul", "inv", "frob", "pow")}
+    """Wrap the context's int-level (mul, inv, frob, pow, orbit) in
+    counters; the dict maps each name to the list of its first operands."""
+    calls = {name: [] for name in ("mul", "inv", "frob", "pow", "orbit")}
 
     def counted(name, op):
         def wrapper(x, *rest):
@@ -229,8 +229,8 @@ def count_int_ops(monkeypatch, ctx):
 
 
 class TestClosedFormWork:
-    """The closed form inverts delta alone, then makes n/d - 1 Frobenius
-    images and n/d - 1 products on packed ints."""
+    """The closed form inverts delta alone, takes the orbit of a once and
+    makes n/d - 1 products on packed ints, with no Frobenius image."""
 
     @pytest.mark.parametrize("p,e,n,r,constant", [
         (3, 1, 32, 1, True), (3, 1, 32, 16, False), (2, 2, 16, 4, False)])
@@ -245,9 +245,10 @@ class TestClosedFormWork:
         M = inverse_binomial(spec)
         steps = n // spec.d - 1
         assert calls["inv"] == [spec.delta.packed]
+        assert calls["orbit"] == [spec.a.packed]
         assert (spec.delta.packed < 1 << 8 * ctx.packing.width) == constant
         assert [len(calls[k]) for k in ("mul", "frob", "pow")] == [
-            steps, steps, 0]
+            steps, 0, 0]
         monkeypatch.undo()
         ident = LinearizedPoly.identity(ctx)
         assert spec.poly().compose(M) == ident == M.compose(spec.poly())

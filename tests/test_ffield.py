@@ -212,6 +212,15 @@ class TestContext:
         with pytest.raises(ValueError):
             f9.from_int(-1)
 
+    @pytest.mark.parametrize("p,e,n", [(3, 1, 2), (3, 1, 32)])
+    def test_encoding_must_be_an_int(self, p, e, n):
+        ctx = field_ctx(p, e, n)
+        for value in (1.5, 2.0):
+            with pytest.raises(TypeError,
+                               match="expected an int encoding, got float"):
+                ctx.from_int(value)
+        assert ctx.from_int(True) == ctx.one
+
     def test_equality_and_cache(self):
         assert field_ctx(3, 1, 2) is field_ctx(3, 1, 2)
         assert FieldCtx(3, 1, 2) == field_ctx(3, 1, 2)
@@ -348,6 +357,45 @@ class TestFrobenius:
             for j, col in enumerate(cols):
                 basis = ctx.from_int(p**j).packed
                 assert col == _power(basis, p**k, ctx._mul, 1), (k, j)
+
+
+class TestOrbit:
+    """``int_ops`` orbit(x) = [x^(q^j) for j < n], against frob(x, e*j)."""
+
+    @staticmethod
+    def assert_orbits(ctx, encs):
+        _, _, frob, _, orbit = ctx.int_ops()
+        for enc in encs:
+            x = ctx.from_int(enc).packed
+            assert orbit(x) == [frob(x, ctx.e * j)
+                                for j in range(ctx.n)], enc
+
+    @pytest.mark.parametrize("p,e,n", [(3, 1, 6), (2, 1, 12), (2, 2, 3)])
+    def test_every_element_of_a_table_field(self, p, e, n):
+        # GF(4^3) has q != p
+        ctx = field_ctx(p, e, n)
+        assert ctx.order <= ffield.LOG_TABLE_MAX_ORDER
+        self.assert_orbits(ctx, range(ctx.order))
+
+    # slots of one byte (GF(3^32), GF(4^16)), two (GF(5^24)), four
+    # (GF(1009^6)), eight (GF(65537^5)) and nine (GF((2^31 - 1)^6))
+    @pytest.mark.parametrize("p,e,n", [
+        (3, 1, 32), (2, 2, 16), (5, 1, 24), (1009, 2, 3), (65537, 1, 5),
+        (2**31 - 1, 1, 6)])
+    def test_samples_at_every_slot_width(self, p, e, n):
+        ctx = field_ctx(p, e, n)
+        assert ctx.order > ffield.LOG_TABLE_MAX_ORDER
+        rng = random.Random(ctx.m * p)
+        self.assert_orbits(ctx, [ctx.order - 1, p] + [
+            rng.randrange(ctx.order) for _ in range(20)])
+
+    @pytest.mark.parametrize("p,e,n", [(3, 1, 6), (2, 2, 3), (3, 1, 32),
+                                       (2**31 - 1, 1, 6)])
+    def test_zero_and_constants_repeat(self, p, e, n):
+        ctx = field_ctx(p, e, n)
+        orbit = ctx.int_ops()[4]
+        for c in {0, 1, p - 1}:
+            assert orbit(c) == [c] * n
 
 
 def linear_chain_norm(x, d):

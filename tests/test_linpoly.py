@@ -103,6 +103,14 @@ class TestEval:
         with pytest.raises(ValueError):
             LinearizedPoly.monomial(f9, 2)
 
+    def test_monomial_slot_must_be_an_int(self, f9):
+        for r in (1.0, 0.5):
+            with pytest.raises(TypeError,
+                               match="expected an int slot, got float"):
+                LinearizedPoly.monomial(f9, r)
+        assert (LinearizedPoly.monomial(f9, True)
+                == LinearizedPoly.monomial(f9, 1))
+
 
 class TestCompose:
     def test_monomials_cancel(self, f9):
@@ -168,23 +176,29 @@ class TestDicksonMatrix:
                             L.coeffs[(j - i) % n].frobenius(ctx.e * i))
 
     def test_binomial_rows_skip_the_constant(self, monkeypatch):
-        """Over GF(3^32) a binomial's matrix maps a alone: at most one
-        _kernel.matvec per row, as the Frobenius fixes the constant 1."""
+        """Over GF(3^32) a binomial's matrix maps a alone: one kernel orbit
+        of a, none of the constant 1 or the zero coefficients, and no
+        single Frobenius image."""
         ctx = field_ctx(3, 1, 32)
         assert ctx.order > LOG_TABLE_MAX_ORDER
         calls = []
-        real = _kernel.matvec
+        real = _kernel.matvec_split
+
+        def matvec_split(cols, v, k, pk):
+            calls.append(v)
+            return real(cols, v, k, pk)
 
         def matvec(cols, v, pk):
-            calls.append(v)
-            return real(cols, v, pk)
+            raise AssertionError("single Frobenius image in a Dickson matrix")
 
+        monkeypatch.setattr(_kernel, "matvec_split", matvec_split)
         monkeypatch.setattr(_kernel, "matvec", matvec)
         rng = random.Random(33)
         for r in (1, 7, 16, 31):
-            L = BinomialSpec(ctx.random_element(rng), r).poly()
-            L.dickson_matrix()
-            assert 0 < len(calls) <= ctx.n, r
+            a = ctx.random_element(rng)
+            assert a.packed >= 1 << 8 * ctx.packing.width
+            BinomialSpec(a, r).poly().dickson_matrix()
+            assert calls == [_kernel.digits(a.packed, ctx.packing)], r
             calls.clear()
 
     def test_row_zero_recovers_poly(self, L):
@@ -377,16 +391,18 @@ class TestInverseDickson:
 
     def test_no_product_has_a_zero_operand(self, monkeypatch):
         # the matrix, the elimination, the inverse's checks, eval and
-        # compose run on packed ints through FieldCtx.int_ops; frob takes
-        # zero, and every image it gives must be the Frobenius map's
+        # compose run on packed ints through FieldCtx.int_ops; frob and
+        # orbit take zero, and every image they give must be the Frobenius
+        # map's
         zero_products = []
         wrong_images = []
         int_fields = set()
         frob_fields = set()
+        orbit_fields = set()
         real_ops = FieldCtx.int_ops
 
         def int_ops(ctx):
-            int_mul, int_inv, int_frob, int_pow = real_ops(ctx)
+            int_mul, int_inv, int_frob, int_pow, int_orbit = real_ops(ctx)
 
             def checked_mul(a, b):
                 int_fields.add(ctx.order)
@@ -413,7 +429,18 @@ class TestInverseDickson:
                     zero_products.append((x, k))
                 return int_pow(x, k)
 
-            return checked_mul, checked_inv, checked_frob, checked_pow
+            def checked_orbit(x):
+                orbit_fields.add(ctx.order)
+                images = int_orbit(x)
+                pk = ctx.packing
+                if images != [_kernel.matvec(ctx._frobenius_map(ctx.e * j),
+                                             _kernel.digits(x, pk), pk)
+                              for j in range(ctx.n)]:
+                    wrong_images.append((x, images))
+                return images
+
+            return (checked_mul, checked_inv, checked_frob, checked_pow,
+                    checked_orbit)
 
         monkeypatch.setattr(FieldCtx, "int_ops", int_ops)
         # GF(3^9) is above LOG_TABLE_MAX_ORDER, where a zero operand would
@@ -434,7 +461,7 @@ class TestInverseDickson:
                             inverse.eval(ctx.random_element(rng))
                             poly.compose(inverse)
         assert zero_products == [] and wrong_images == []
-        assert int_fields == frob_fields == {
+        assert int_fields == frob_fields == orbit_fields == {
             p ** (e * n) for p, e, n in fields}
 
     def test_one_inversion_per_solve(self, monkeypatch):

@@ -8,7 +8,8 @@ with the digest the kernels produced before their last rewrite.
 import hashlib
 import random
 
-from linperm import BinomialSpec, inverse_binomial, is_permutation_binomial
+from linperm import (BinomialSpec, LinearizedPoly, inverse_binomial,
+                     is_permutation_binomial)
 from linperm.ffield import field_ctx, find_irreducible
 
 MODULUS_CASES = sorted(
@@ -38,6 +39,8 @@ CLOSED_FORM_CASES = [(3, 1, 32, 1), (3, 1, 32, 7), (3, 1, 32, 16),
                      (1009, 1, 6, 3)]
 CLOSED_FORM_SHA256 = (
     "fe7c980a3d1c76d02d17df5275f573cf6763e887785cfc7588dd9ae87d082979")
+DICKSON_SHA256 = (
+    "7a61064bd552f1b2d98197d16b60efd9a3281c7fefeb90b0ee34325ac4088451")
 
 
 def sha256(lines):
@@ -77,3 +80,23 @@ def test_closed_form_inverses_are_pinned():
                 lines.append(" ".join(map(str, inverse_binomial(
                     spec).to_encodings())))
     assert sha256(lines) == CLOSED_FORM_SHA256
+
+
+def test_dickson_matrices_are_pinned():
+    # two binomials per case and one dense polynomial per field, permutations
+    # or not: every entry is a Frobenius image of a coefficient
+    lines = []
+    fields = []
+    for p, e, n, r in CLOSED_FORM_CASES:
+        ctx = field_ctx(p, e, n)
+        rng = random.Random(2000 * ctx.m + r)
+        polys = [BinomialSpec(ctx.random_element(rng), r).poly()
+                 for _ in range(2)]
+        if (p, e, n) not in fields:
+            fields.append((p, e, n))
+            polys.append(LinearizedPoly(
+                ctx, [ctx.random_element(rng) for _ in range(n)]))
+        for L in polys:
+            lines.extend(" ".join(str(c.to_int()) for c in row)
+                         for row in L.dickson_matrix().entries)
+    assert sha256(lines) == DICKSON_SHA256
