@@ -20,11 +20,13 @@ and :meth:`FieldCtx.int_ops` alone decides it, once per context, for
 alike.  A context of at most ``LOG_TABLE_MAX_ORDER`` elements builds an
 antilog table of the powers of its smallest-encoding primitive element g
 and the inverse log table; then x*y = g^(log x + log y), 1/x = g^(-log x),
-x^(p^k) = g^(p^k log x) and x^k = g^(k log x), exponents mod order - 1.
-A larger context never builds tables: products, Frobenius maps and the
-stack of the n maps x -> x^(q^j), each map cached as its m packed columns,
-run on the packed-integer kernels with the context's ``packing``, inverses
-come from the extended Euclidean algorithm on packed polynomials
+x^(p^k) = g^(p^k log x) and x^k = g^(k log x), exponents mod order - 1,
+the m exponents p^k, k < m, listed once.  A larger context never builds
+log tables: products, Frobenius images and orbits run on the
+packed-integer kernels with the context's ``packing``, the images and
+orbits over one Frobenius table of all m maps x -> x^(p^k) and the stack
+of the n maps x -> x^(q^j), built together on first use; inverses come
+from the extended Euclidean algorithm on packed polynomials
 (``_kernel.invmod``), and powers are square-and-multiply over the packed
 product.  Addition, subtraction and negation are slotwise on the
 packed ints either way.
@@ -70,11 +72,12 @@ def is_prime(v: int) -> bool:
 
 
 def check_characteristic(p: int) -> None:
-    """Raise ValueError unless ``p`` is a prime no larger than MAX_PRIME."""
+    """Raise ValueError unless ``p`` is a prime no larger than MAX_PRIME;
+    the bound is checked first, so no trial division runs past it."""
+    if isinstance(p, int) and p > MAX_PRIME:
+        raise ValueError(f"p={p} exceeds the word-size bound {MAX_PRIME}")
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"p={p} is not prime")
-    if p > MAX_PRIME:
-        raise ValueError(f"p={p} exceeds the word-size bound {MAX_PRIME}")
 
 
 def _expect(obj, cls, what: str):
@@ -158,17 +161,18 @@ def _binomials_reducible(p: int, m: int) -> bool:
                for l in range(2, m + 1))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def find_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Monic irreducible of degree m over GF(p) with the smallest encoding.
 
     The encoding includes the leading coefficient, so the scan starts at
-    p**m (the monic polynomial x^m) and the result is deterministic.
+    p**m (the monic polynomial x^m) and the result is deterministic.  The
+    cache is typed, so a float p or m is rejected whether or not the equal
+    int is cached.
     """
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    if m < 1:
-        raise ValueError(f"degree m={m} must be positive")
+    check_characteristic(p)
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"degree m={m} must be a positive integer")
     if m > MAX_DEGREE:
         raise ValueError(f"degree m={m} exceeds the bound {MAX_DEGREE}")
     # tails below p are the binomials x^m + c; skip them when none is
@@ -193,16 +197,17 @@ class FieldCtx:
     elements are never mutated.  Everything else derived is built lazily
     and cached on the context, so sharing one context across many
     operations is cheap and thread-safe in the memoized-recompute sense:
-    the packed columns of each Frobenius power, the int-level operations
-    of :meth:`int_ops`, and, when ``order <= LOG_TABLE_MAX_ORDER``, the log
-    and antilog tables, built by the first :meth:`int_ops` call, which the
-    first nonzero product, inverse or power or the first Frobenius image
-    makes (see :meth:`_log_tables`).  Creating a context, converting
-    encodings and adding never build them.
+    the Frobenius table of :meth:`_frobenius_maps` (all m maps and their
+    stack, in one slot), the int-level operations of :meth:`int_ops`, and,
+    when ``order <= LOG_TABLE_MAX_ORDER``, the log and antilog tables,
+    built by the first :meth:`int_ops` call, which the first nonzero
+    product, inverse or power or the first Frobenius image makes (see
+    :meth:`_log_tables`).  Creating a context, converting encodings and
+    adding never build them.
     """
 
     __slots__ = ("p", "e", "n", "m", "q", "order", "modulus", "packing",
-                 "zero", "one", "_frob", "_orbit", "_log", "_exp", "_ops")
+                 "zero", "one", "_frob", "_log", "_exp", "_ops")
 
     def __init__(self, p: int, e: int, n: int):
         check_characteristic(p)
@@ -218,8 +223,7 @@ class FieldCtx:
         self.packing = _kernel.Packing(self.modulus, p)
         self.zero = FieldElem(self, 0)
         self.one = FieldElem(self, 1)
-        self._frob = {}
-        self._orbit = self._log = self._exp = self._ops = None
+        self._frob = self._log = self._exp = self._ops = None
 
     def __eq__(self, other):
         if not isinstance(other, FieldCtx):
@@ -289,20 +293,21 @@ class FieldCtx:
 
     def int_ops(self):
         """(mul, inv, frob, pow, orbit) on packed ints, chosen once per
-        context: log-table lookups, else ``_kernel.mulmod``, ``invmod``,
-        ``matvec``, square-and-multiply over ``mulmod`` for ``pow(x, k)``
-        = x^k, k >= 0, and ``matvec_split`` on :meth:`_orbit_map` for
-        ``orbit(x)`` = [x^(q^j) for j < n].  ``mul``, ``inv`` and ``pow``
+        context: log-table lookups (Frobenius images through one list of
+        p^k mod (order - 1), k < m), else ``_kernel.mulmod``, ``invmod``,
+        ``matvec`` and ``matvec_split`` on :meth:`_frobenius_maps`, and
+        square-and-multiply over ``mulmod``.  ``pow(x, k)`` = x^k, k >= 0,
+        and ``orbit(x)`` = [x^(q^j) for j < n].  ``mul``, ``inv`` and ``pow``
         take no zero operand; ``frob(x, k)`` = x^(p^k) returns x as it is
         when k = 0 or x is a GF(p) constant (x < 256^width), and ``orbit``
         repeats such an x n times, but above the cap ``frob`` still builds
-        the map of k for every nonzero x, so ``one.frobenius(k)`` warms it."""
+        the table for every nonzero x, so ``one.frobenius(k)`` warms it."""
         if self._ops is None:
             log = self._log_tables()
             fixed = 1 << 8 * self.packing.width
-            units, n = self.order - 1, self.n
+            units, m, e, n = self.order - 1, self.m, self.e, self.n
             if log is None:
-                pk, maps = self.packing, self._frobenius_map
+                pk = self.packing
 
                 def mul(a, b):
                     return _kernel.mulmod(a, b, pk)
@@ -310,62 +315,58 @@ class FieldCtx:
                 def frob(x, k):
                     if not (x and k):
                         return x
-                    cols = maps(k)
+                    cols = (self._frob or self._frobenius_maps())[0][k % m]
                     return x if x < fixed else _kernel.matvec(
                         cols, _kernel.digits(x, pk), pk)
 
                 def orbit(x):
                     return [x] * n if x < fixed else _kernel.matvec_split(
-                        self._orbit_map(), _kernel.digits(x, pk), n, pk)
+                        (self._frob or self._frobenius_maps())[1],
+                        _kernel.digits(x, pk), n, pk)
                 self._ops = (mul, lambda a: _kernel.invmod(a, pk), frob,
                              lambda x, k: _power(x, k % units, mul, 1), orbit)
             else:
-                exp, p = self._exp, self.p
-                qs = [pow(self.q, j, units) for j in range(n)]
+                exp = self._exp
+                ps = [pow(self.p, k, units) for k in range(m)]
                 self._ops = (lambda a, b: exp[log[a] + log[b]],
                              lambda a: exp[units - log[a]],
                              lambda x, k: x if x < fixed or not k else
-                             exp[log[x] * pow(p, k, units) % units],
+                             exp[log[x] * ps[k % m] % units],
                              lambda x, k: exp[log[x] * k % units],
                              lambda x: [x] * n if x < fixed else
-                             [exp[log[x] * t % units] for t in qs])
+                             [exp[log[x] * t % units] for t in ps[::e]])
         return self._ops
 
     def _mul(self, a, b):
         """Product of two packed elements of this field."""
         return _kernel.mulmod(a, b, self.packing)
 
-    def _orbit_map(self) -> tuple:
-        """Packed columns of x -> (x, x^q, ..., x^(q^(n-1))): column i holds
-        column i of ``_frobenius_map(e*j)`` in slots j*m ... j*m + m - 1."""
-        if self._orbit is None:
-            shift = 8 * self.packing.width * self.m
-            maps = [self._frobenius_map(k) for k in range(0, self.m, self.e)]
-            self._orbit = tuple(sum(c << shift * j for j, c in enumerate(col))
-                                for col in zip(*maps))
-        return self._orbit
+    def _frobenius_maps(self) -> tuple:
+        """(maps, stack), built in one pass on first use: maps[k] holds the
+        packed columns (x^j)^(p^k), j < m, of x -> x^(p^k), k < m, each
+        map from the one before and x^p; column i of the stack holds column
+        i of maps[e*j] in slots j*m ... j*m + m - 1, j < n."""
+        if self._frob is None:
+            pk = self.packing
+            maps = [_kernel.identity_cols(pk)]
+            xp = _power(self.gen().packed, self.p, self._mul, 1)
+            for _ in range(1, self.m):
+                maps.append(_kernel.next_frobenius_cols(maps[-1], xp, pk))
+            shift = 8 * pk.width * self.m
+            self._frob = (maps, tuple(
+                sum(c << shift * j for j, c in enumerate(col))
+                for col in zip(*maps[::self.e])))
+        return self._frob
 
     def _frobenius_map(self, k: int) -> tuple:
-        """Packed columns (x^j)^(p^k), j < m, of x -> x^(p^k); cached.
-        Built from map k - 1 and x^p, which is column 1 of map 1."""
-        k %= self.m
-        cols = self._frob.get(k)
-        if cols is None:
-            pk = self.packing
-            if k == 0:
-                cols = _kernel.identity_cols(pk)
-            else:
-                xp = (self._frobenius_map(1)[1] if k > 1
-                      else _power(self.gen().packed, self.p, self._mul, 1))
-                cols = _kernel.next_frobenius_cols(
-                    self._frobenius_map(k - 1), xp, pk)
-            self._frob[k] = cols
-        return cols
+        """Packed columns of x -> x^(p^k): map k mod m of the table."""
+        return self._frobenius_maps()[0][k % self.m]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def field_ctx(p: int, e: int, n: int) -> FieldCtx:
-    """Shared context for GF((p^e)^n) with the canonical minimal modulus."""
+    """Shared context for GF((p^e)^n) with the canonical minimal modulus;
+    typed, like :func:`find_irreducible`'s cache."""
     return FieldCtx(p, e, n)
 
 

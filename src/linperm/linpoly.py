@@ -175,10 +175,10 @@ class DicksonMatrix(_Packed):
 
         Its coefficients are row 0 of the inverse matrix, the solution x of
         x D = e_0 (see :func:`_solve`), so the rest of the inverse is never
-        formed.  As a consistency check the determinant is recomputed by
-        first-column cofactor expansion (cofactor (i,0) equals det times
-        x_i) and must match the elimination determinant and be fixed by the
-        q-power Frobenius.
+        formed.  As a consistency check x must solve column 0 of x D = e_0,
+        sum(D[i][0] x_i) = 1 (the first-column cofactor expansion of det
+        divided by det, as cofactor (i,0) equals det times x_i), and the
+        elimination determinant must be fixed by the q-power Frobenius.
         """
         return self._checked_inverse(*_solve(self.ctx, self.packed, 1))
 
@@ -192,14 +192,16 @@ class DicksonMatrix(_Packed):
         for row, xi in zip(self.packed, solutions[0]):
             if row[0] and xi:
                 expansion = _kernel.addmod(
-                    expansion, mul(row[0], mul(det, xi)), ctx.packing)
-        if expansion != det or frob(det, ctx.e) != det:
+                    expansion, mul(row[0], xi), ctx.packing)
+        if expansion != 1 or frob(det, ctx.e) != det:
             raise AssertionError("cofactor expansion disagrees with elimination")
         return LinearizedPoly._of(ctx, tuple(solutions[0]))
 
     def cofactor(self, i: int, j: int) -> FieldElem:
         """Signed minor determinant; defined for singular matrices too."""
         ctx, rows = self.ctx, self.packed
+        for index in (i, j):
+            _expect(index, int, "an int index")
         if not (0 <= i < ctx.n and 0 <= j < ctx.n):
             raise ValueError(f"cofactor ({i}, {j}) outside [0, {ctx.n})")
         minor = [r[:j] + r[j + 1:] for r in rows[:i] + rows[i + 1:]]

@@ -60,12 +60,22 @@ def _require_capacity(ctx: FieldCtx):
 
 @functools.lru_cache(maxsize=None)
 def _direct_sample(ctx: FieldCtx) -> tuple:
-    """Seeded sample of non-basis elements, fixed per context."""
-    basis = {0} | {ctx.p**k for k in range(ctx.m)}
-    pool = [x for x in range(ctx.order) if x not in basis]
+    """Seeded sample of non-basis elements, fixed per context.
+
+    Indices are drawn into the non-basis encodings in increasing order, and
+    index i is mapped to its encoding by stepping over the sorted basis
+    encodings {0, 1, p, ..., p^(m-1)}, so the field is never listed.
+    """
+    basis = sorted({0} | {ctx.p**k for k in range(ctx.m)})
+    size = ctx.order - len(basis)
     rng = random.Random(DIRECT_SAMPLE_SEED)
-    picked = rng.sample(pool, min(DIRECT_SAMPLE_SIZE, len(pool)))
-    return tuple((x, ctx.from_int(x)) for x in sorted(picked))
+    picked = []
+    for x in sorted(rng.sample(range(size), min(DIRECT_SAMPLE_SIZE, size))):
+        for b in basis:
+            if b <= x:
+                x += 1
+        picked.append(x)
+    return tuple((x, ctx.from_int(x)) for x in picked)
 
 
 def _images(L: LinearizedPoly, mismatches: list | None = None) -> list[int]:

@@ -132,6 +132,20 @@ class TestLift:
         expected = embed_subfield(field_ctx(3, 1, 2).from_int(4), f729)
         assert coeffs[0] == expected.to_int()
 
+    def test_lift_with_four_byte_slots_permutes(self, capsys):
+        # the embedding root search at slots wider than one byte; t = 2
+        # moves the unit coefficient to slot 2, and the lifted
+        # x^(q^2) + a'x over GF(1009^6) must still permute
+        code, out, _ = run(capsys, "lift", "--p", "1009", "--e", "1", "--n",
+                           "3", "--r", "1", "--a", "668835601", "--t", "2",
+                           "--json")
+        assert code == 0
+        coeffs = json.loads(out)["coeffs"]
+        assert coeffs[1:] == [0, 1]
+        big = ffield.field_ctx(1009, 2, 3)
+        assert binomial.is_permutation_binomial(
+            binomial.BinomialSpec(big.from_int(coeffs[0]), 2))
+
     def test_non_coprime_t(self, capsys):
         code, _, err = run(capsys, "lift", "--p", "3", "--e", "1", "--n", "2",
                            "--r", "1", "--a", "4", "--t", "2")
@@ -268,6 +282,15 @@ class TestBench:
         _, _, agree = cli.run_bench(3, 1, 4, 1, 3)
         assert agree
         assert cached == [False] * 3
+
+    @pytest.mark.parametrize("p,e,n,r", [
+        # above the log-table cap: d = gcd(n, r) = 1, 1, 16, 1 over GF(3^32);
+        # q != p with delta in GF(4^4) at r = 4; slots of 2, 8 and 9 bytes
+        (3, 1, 32, 1), (3, 1, 32, 7), (3, 1, 32, 16), (3, 1, 32, 31),
+        (2, 2, 16, 3), (2, 2, 16, 4), (5, 1, 24, 5), (65537, 1, 8, 3),
+        (2**31 - 1, 1, 5, 2)])
+    def test_closed_form_agrees_with_dickson_in_big_fields(self, p, e, n, r):
+        assert cli.run_bench(p, e, n, r, 2)[2]
 
     def test_zero_trials_is_empty(self, capsys):
         code, out, _ = run(capsys, "bench", "--p", "3", "--e", "1", "--n", "2",

@@ -1,6 +1,8 @@
 """Field construction, arithmetic laws, Frobenius, norms, and embeddings."""
 
+import functools
 import random
+import time
 
 import pytest
 from sympy.polys import galoistools as gt
@@ -227,6 +229,60 @@ class TestContext:
         assert field_ctx(3, 1, 2) != field_ctx(3, 2, 1)  # same field, other tower
 
 
+def cold_caches(monkeypatch):
+    """Swap ``find_irreducible`` and ``field_ctx`` for empty caches of the
+    same configuration, so a call sees no entry cached by other tests."""
+    for name in ("find_irreducible", "field_ctx"):
+        real = getattr(ffield, name)
+        monkeypatch.setattr(ffield, name, functools.lru_cache(
+            **real.cache_parameters())(real.__wrapped__))
+
+
+class TestParameterChecks:
+    """Bad p and m are rejected cheaply, and whatever the caches hold."""
+
+    @pytest.mark.parametrize("call,args,match", [
+        ("field_ctx", (5.0, 1, 2), "p=5.0 is not prime"),
+        ("find_irreducible", (7, 2.0), "m=2.0 must be a positive integer"),
+        ("find_irreducible", (5.0, 2), "p=5.0 is not prime"),
+    ])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_non_int_rejected_in_either_cache_order(self, monkeypatch, call,
+                                                    args, match, warm):
+        # float keys once hashed equal to cached int keys, so they were
+        # refused cold and answered warm
+        cold_caches(monkeypatch)
+        fn = getattr(ffield, call)
+        if warm:
+            fn(*map(int, args))
+        with pytest.raises(ValueError, match=match):
+            fn(*args)
+        assert fn(*map(int, args)) is not None
+        with pytest.raises(ValueError, match=match):
+            fn(*args)
+
+    @pytest.mark.parametrize("p", [2**31 + 11, 1099511627791, 2**61 - 1])
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_primes_above_the_bound_fail_at_once(self, monkeypatch, p, step):
+        # 2^31 + 11 once got a modulus that FieldCtx refuses, a prime near
+        # 2^40 died in the 11-byte slot packing, and 2^61 - 1 ran trial
+        # division for minutes; the calls run in both orders
+        cold_caches(monkeypatch)
+        start = time.process_time()
+        for call, args in (("find_irreducible", (p, 3)),
+                           ("find_irreducible", (p, 2)),
+                           ("field_ctx", (p, 1, 1)))[::step]:
+            with pytest.raises(ValueError, match="exceeds the word-size bound"):
+                getattr(ffield, call)(*args)
+        assert time.process_time() - start < 1.0
+
+    def test_composite_above_the_bound_reports_the_bound(self):
+        with pytest.raises(ValueError, match="exceeds the word-size bound"):
+            ffield.check_characteristic(2**62)
+        with pytest.raises(ValueError, match="is not prime"):
+            ffield.check_characteristic(2**31 - 3)
+
+
 class TestArithmetic:
     def test_f9_worked_values(self, f9):
         t = f9.from_int(3)
@@ -334,17 +390,22 @@ class TestFrobenius:
 
 
     def test_one_warms_the_map_above_the_cap(self):
-        # the GF(p) constants skip the matvec but still build the map of k,
-        # so one.frobenius(k) sets a big field up; zero and k = 0 build none
+        # the GF(p) constants skip the matvec but still build the Frobenius
+        # table, so one.frobenius(k) sets a big field up: all m maps and
+        # their stack at once; zero and k = 0 build none
         ctx = FieldCtx(3, 1, 32)
         assert ctx.order > ffield.LOG_TABLE_MAX_ORDER
-        assert ctx.one.frobenius(0) == ctx.one and not ctx._frob
-        for k in (5, 2, 40, 64):
-            built = dict(ctx._frob)
+        assert ctx.one.frobenius(0) == ctx.one and ctx._frob is None
+        for k in (5, 40, 64):
+            assert ctx.zero.frobenius(k) == ctx.zero and ctx._frob is None
+        assert ctx.one.frobenius(5) == ctx.one
+        table = ctx._frob
+        maps, stack = table
+        assert len(maps) == ctx.m and len(stack) == ctx.m
+        for k in (2, 40, 64):
             assert ctx.zero.frobenius(k) == ctx.zero
-            assert ctx._frob == built
             assert ctx.one.frobenius(k) == ctx.one
-            assert k % ctx.m in ctx._frob
+            assert ctx._frob is table
 
     @pytest.mark.parametrize("p,e,n", [(3, 1, 32), (1009, 1, 6)])
     def test_packed_maps_match_basis_powers(self, p, e, n):

@@ -279,6 +279,18 @@ class TestDeterminantAndInverse:
         with pytest.raises(ValueError, match=rf"cofactor \({i}, {j}\)"):
             D.cofactor(i, j)
 
+    @pytest.mark.parametrize("i,j,kind", [(1.0, 0, "float"), (0, 1.0, "float"),
+                                          ("1", 0, "str"), (0, "0", "str"),
+                                          (5, 1.0, "float")])
+    def test_cofactor_index_must_be_an_int(self, i, j, kind):
+        # a float once reached the minor's slices ("slice indices must be
+        # integers"); the type is checked before the range
+        ctx = field_ctx(3, 1, 3)
+        D = LinearizedPoly.from_encodings(ctx, [5, 1, 0]).dickson_matrix()
+        with pytest.raises(TypeError, match=f"expected an int index, got {kind}"):
+            D.cofactor(i, j)
+        assert D.cofactor(True, False) == D.cofactor(1, 0)
+
 
 class TestAgainstLeibniz:
     """The elimination against references that share no code with it."""

@@ -15,6 +15,8 @@ from linperm.oracle import (CHECK_AGREEMENT, CHECK_COFACTORS, CHECK_CRITERION,
                             CHECK_INVERSE, CHECK_LIFT, MAX_EXHAUSTIVE_ORDER,
                             SweepFailure)
 
+from conftest import sweep_contexts
+
 
 @pytest.fixture
 def L(f9):
@@ -355,6 +357,18 @@ class TestDirectCheck:
         assert all(x.to_int() == enc for enc, x in sample)
         oracle._direct_sample.cache_clear()
         assert [enc for enc, _ in oracle._direct_sample(ctx)] == encs
+
+    @pytest.mark.parametrize("p,e,n", sweep_contexts(729) + [(67, 1, 2)])
+    def test_sample_matches_a_draw_from_the_listed_pool(self, p, e, n):
+        # the sample draws indices, never listing the field; the same seeded
+        # draw from the list of every non-basis encoding is the reference
+        ctx = field_ctx(p, e, n)
+        basis = {0} | {p**k for k in range(ctx.m)}
+        pool = [x for x in range(ctx.order) if x not in basis]
+        rng = random.Random(oracle.DIRECT_SAMPLE_SEED)
+        want = sorted(rng.sample(pool, min(oracle.DIRECT_SAMPLE_SIZE,
+                                           len(pool))))
+        assert [enc for enc, _ in oracle._direct_sample(ctx)] == want
 
     def test_small_field_sample_is_every_non_basis_element(self):
         # GF(4) has one element off the basis {1, t} and zero
